@@ -1,7 +1,7 @@
 # Developer entry points for the GMine reproduction.
 #
 #   make check       — the gate: tier-1 tests + smoke runs of the concurrent
-#                      sessions example and the HTTP front-end (what CI
+#                      sessions example and the HTTP server (what CI
 #                      should run on every change)
 #   make tier1       — fast tests only (everything not marked `slow`)
 #   make test-all    — the complete suite including slow paper-claim tests
@@ -12,21 +12,21 @@
 #                      batch twice per backend, and assert cache-hit
 #                      accounting, transport parity AND cross-backend
 #                      byte-parity; then smoke the Protocol v2 surface —
-#                      the asyncio front-end with a streamed cursor query
-#                      (reassembly byte-identical to one-shot), registry
-#                      session ops, and an authed + rate-limited server
+#                      a streamed cursor query (reassembly
+#                      byte-identical to one-shot), registry session
+#                      ops, and an authed + rate-limited server
 #                      returning AUTH_REQUIRED/RATE_LIMITED envelopes —
-#                      and the mutable-dataset surface: a dataset.apply
-#                      edit on one front-end observed via /v1/subscribe
-#                      on the other, both directions; and the GPath
-#                      surface: fused path queries with 3-way transport
-#                      parity, structured parse-error spans and a CSV
-#                      dataset.ingest round-trip across front-ends
-#                      (examples/http_service.py)
-#   make bench-http  — requests/sec for cached vs uncached RWR over the
-#                      threaded HTTP, asyncio HTTP and in-process
-#                      transports, incl. streamed full-vector rates;
-#                      writes benchmarks/BENCH_http.json
+#                      and the mutable-dataset surface: one client's
+#                      dataset.apply edit waking another client's
+#                      parked /v1/subscribe long-poll; and the GPath
+#                      surface: fused path queries with HTTP ==
+#                      in-process parity, structured parse-error spans
+#                      and a CSV dataset.ingest round-trip between two
+#                      clients (examples/http_service.py)
+#   make bench-http  — requests/sec for cached vs uncached RWR over HTTP
+#                      (connection-per-request and keep-alive rows) and
+#                      the in-process transport, incl. streamed
+#                      full-vector rates; writes benchmarks/BENCH_http.json
 #   make bench-exec  — uncached RWR/metrics batches on the inline, thread
 #                      and process execution backends (speedup vs thread);
 #                      writes benchmarks/BENCH_exec.json
@@ -49,7 +49,7 @@
 #                      circuit-breaker trip/half-open/recovery, degraded
 #                      stale serving with byte parity, admission shedding
 #                      and the seeded 20%-failure fault matrix across all
-#                      four execution backends and both HTTP front-ends
+#                      four execution backends and the HTTP server
 #   make bench-chaos — typed outcomes and bounded latency under a seeded
 #                      20%-failure FaultPlan plus overload shedding and
 #                      disabled-injector overhead; writes

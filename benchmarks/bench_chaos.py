@@ -8,7 +8,7 @@ Drives the service through three adversarial phases and emits
   typed outcome (fresh success, ``degraded`` stale serve, or a 4xx/5xx
   envelope from the error taxonomy) and never an unhandled 500.  Reports
   per-request wall latency (p50/p99) against the request deadline budget.
-* **overload shedding** — a threaded HTTP front-end capped at
+* **overload shedding** — the HTTP server capped at
   ``--max-inflight 2`` takes concurrent fire from 8 client threads;
   reports the shed rate and verifies every shed is a 503 ``OVERLOADED``
   envelope, never a socket error or a 500.

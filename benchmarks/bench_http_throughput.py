@@ -1,6 +1,6 @@
-"""HTTP front-end throughput: cached vs uncached RWR, every transport.
+"""HTTP throughput: cached vs uncached RWR, every transport.
 
-Starts the GMine Protocol HTTP servers over a synthetic DBLP dataset and
+Starts the GMine Protocol HTTP server over a synthetic DBLP dataset and
 measures end-to-end requests/sec for
 
 * **uncached** RWR — every request names a distinct source pair, so each
@@ -8,11 +8,12 @@ measures end-to-end requests/sec for
 * **cached** RWR — one hot request repeated, answered from the shared
   ``ResultCache`` after the first computation;
 
-over the threaded-HTTP transport, the asyncio-HTTP transport (Protocol v2,
-same wire bytes from one event loop) and, for reference, the in-process
-transport (protocol overhead without the socket).  Sequential and
-small-thread-pool concurrent rates are both reported, plus the streamed
-full-vector rate (``/v1/stream`` cursor chunks vs the one-shot body).
+over the HTTP transport — two rows: the shipped client's
+connection-per-request and persistent keep-alive connections — and, for
+reference, the in-process transport (protocol overhead without the
+socket).  Sequential and small-thread-pool concurrent rates are both
+reported, plus the streamed full-vector rate (``/v1/stream`` cursor
+chunks vs the one-shot body) where the client streams.
 
 Emits ``BENCH_http.json`` next to this file — the start of the service's
 performance trajectory (ROADMAP: "as fast as the hardware allows").
@@ -22,12 +23,14 @@ Run it:  ``PYTHONPATH=src python benchmarks/bench_http_throughput.py``
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.api import GMineAsyncHTTPServer, GMineClient, GMineHTTPServer
+from repro.api import GMineClient, GMineHTTPServer, Response
 from repro.core.builder import build_gtree
 from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.service import GMineService
@@ -41,6 +44,26 @@ CONCURRENCY = 4
 
 def _rate(count: int, elapsed: float) -> float:
     return round(count / elapsed, 2) if elapsed > 0 else float("inf")
+
+
+class KeepAliveClient:
+    """``query`` over one persistent connection per calling thread."""
+
+    def __init__(self, address) -> None:
+        self._address = address
+        self._local = threading.local()
+
+    def query(self, op, args):
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(*self._address, timeout=30)
+            self._local.connection = connection
+        connection.request(
+            "POST", "/v1/query",
+            body=json.dumps({"op": op, "args": args}),
+            headers={"Content-Type": "application/json"},
+        )
+        return Response.from_dict(json.loads(connection.getresponse().read()))
 
 
 def _run_sequential(client: GMineClient, requests) -> float:
@@ -99,14 +122,13 @@ def main() -> None:
 
     with GMineService(max_workers=CONCURRENCY) as service:
         service.register_tree(tree, graph=dataset.graph, name="dblp")
-        with GMineHTTPServer(service, port=0) as server, \
-                GMineAsyncHTTPServer(service, port=0) as aio_server:
-            transports = {
-                "http": GMineClient.http(server.url),
-                "http_asyncio": GMineClient.http(aio_server.url),
-                "in_process": GMineClient.in_process(service),
+        with GMineHTTPServer(service, port=0) as server:
+            rows = {
+                ("http", "connection_per_request"): GMineClient.http(server.url),
+                ("http", "keep_alive"): KeepAliveClient(server.address),
+                ("in_process", None): GMineClient.in_process(service),
             }
-            for name, client in transports.items():
+            for (transport, row), client in rows.items():
                 service.cache.clear()
                 uncached_elapsed = _run_sequential(client, uncached)
                 client.query(hot["op"], args=hot["args"])  # warm the hot entry
@@ -122,34 +144,39 @@ def main() -> None:
                         1,
                     ),
                 }
-                # streamed full vector (cursor chunks) vs the one-shot body
-                stream_runs = 20
-                start = time.perf_counter()
-                for _ in range(stream_runs):
-                    merged = client.stream_result(
-                        hot["op"], args=hot["args"], chunk_size=100
+                if isinstance(client, GMineClient):
+                    # streamed full vector (cursor chunks) vs the one-shot body
+                    stream_runs = 20
+                    start = time.perf_counter()
+                    for _ in range(stream_runs):
+                        merged = client.stream_result(
+                            hot["op"], args=hot["args"], chunk_size=100
+                        )
+                    stream_elapsed = time.perf_counter() - start
+                    total = len(merged["scores"])
+                    start = time.perf_counter()
+                    for _ in range(stream_runs):
+                        client.query(
+                            hot["op"], args=hot["args"], page={"top_k": total}
+                        ).unwrap()
+                    one_shot_elapsed = time.perf_counter() - start
+                    entry["streamed_full_vector_rps"] = _rate(
+                        stream_runs, stream_elapsed
                     )
-                stream_elapsed = time.perf_counter() - start
-                total = len(merged["scores"])
-                start = time.perf_counter()
-                for _ in range(stream_runs):
-                    client.query(
-                        hot["op"], args=hot["args"], page={"top_k": total}
-                    ).unwrap()
-                one_shot_elapsed = time.perf_counter() - start
-                entry["streamed_full_vector_rps"] = _rate(
-                    stream_runs, stream_elapsed
-                )
-                entry["one_shot_full_vector_rps"] = _rate(
-                    stream_runs, one_shot_elapsed
-                )
-                report["transports"][name] = entry
-                print(f"{name:>12}: uncached {entry['uncached_rps']:>8} req/s | "
+                    entry["one_shot_full_vector_rps"] = _rate(
+                        stream_runs, one_shot_elapsed
+                    )
+                if row is None:
+                    report["transports"][transport] = entry
+                else:
+                    report["transports"].setdefault(transport, {})[row] = entry
+                name = transport if row is None else f"{transport}/{row}"
+                print(f"{name:>27}: uncached {entry['uncached_rps']:>8} req/s | "
                       f"cached {entry['cached_rps']:>8} req/s | "
                       f"cached x{CONCURRENCY} threads "
                       f"{entry['cached_concurrent_rps']:>8} req/s | "
-                      f"cache speedup {entry['cache_speedup']}x | "
-                      f"stream {entry['streamed_full_vector_rps']:>7} req/s")
+                      f"cache speedup {entry['cache_speedup']}x | stream "
+                      f"{entry.get('streamed_full_vector_rps', 'n/a'):>7} req/s")
             stats = service.stats()
             report["cache_stats"] = stats["cache"]
 

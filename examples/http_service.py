@@ -3,7 +3,7 @@
 This is the ``make serve-smoke`` gate.  It builds a small DBLP dataset,
 persists it (store + graph file, so process workers can reopen it by
 path), then **once per execution backend** — inline, thread, process —
-starts the GMine Protocol HTTP front-end on an ephemeral port, fires a
+starts the GMine Protocol HTTP server on an ephemeral port, fires a
 batch of mixed queries twice (cold, then warm), and asserts
 
 * every response is a structured ``gmine/1`` envelope,
@@ -18,26 +18,25 @@ batch of mixed queries twice (cold, then warm), and asserts
   thread, kernel pool, warm worker process) never changes *what* the
   caller sees.
 
-After the per-backend loop it smokes the **Protocol v2 front-end
-surface**: the asyncio server answering a streamed cursor query whose
-reassembly is byte-identical to the threaded server's one-shot payload,
-session ops dispatched purely through the registry, and a
-bearer-token + rate-limited server returning structured
-``AUTH_REQUIRED``/``RATE_LIMITED`` envelopes.
+After the per-backend loop it smokes the **Protocol v2 surface**: a
+streamed cursor query whose reassembly is byte-identical to the one-shot
+payload (and resumes from a second client), session ops dispatched purely
+through the registry, and a bearer-token + rate-limited server returning
+structured ``AUTH_REQUIRED``/``RATE_LIMITED`` envelopes.
 
 It then smokes the **mutable-dataset surface** end to end over the
-wire: an edit script applied through one front-end is observed through
-the other via ``POST /v1/subscribe`` (threaded edit -> asyncio watcher,
-then the mirror image), the change event's fingerprint matches both the
-apply report and ``GET /v1/datasets``, and a watcher filtered to an
-untouched community sees no events at all.
+wire with two clients of one server: a watcher parks a ``POST
+/v1/subscribe`` long-poll, an editor applies an edit script, the watcher
+wakes with the change event, whose fingerprint matches both the apply
+report and ``GET /v1/datasets``; a watcher filtered to an untouched
+community sees no events at all.
 
 Finally it smokes the **GPath surface**: a fused ``rwr(...)/top(5)``
-path query byte-identical across the threaded, asyncio and in-process
-transports and equal to the direct ``rwr`` slice, parse errors as
-structured ``QUERY_PARSE_ERROR`` envelopes with source spans on both
-front-ends, and a CSV ingested through ``dataset.ingest`` on one
-front-end immediately answering path queries on the other.
+path query byte-identical across the HTTP and in-process transports and
+equal to the direct ``rwr`` slice, parse errors as structured
+``QUERY_PARSE_ERROR`` envelopes with source spans, and a CSV ingested
+through ``dataset.ingest`` by one client immediately answering another
+client's path queries.
 
 Run it:  ``PYTHONPATH=src python examples/http_service.py [backend ...]``
 (default: all of inline, thread, process).
@@ -45,15 +44,11 @@ Run it:  ``PYTHONPATH=src python examples/http_service.py [backend ...]``
 
 import sys
 import tempfile
+import threading
+import time
 from pathlib import Path
 
-from repro.api import (
-    FrontendPolicy,
-    GMineAsyncHTTPServer,
-    GMineClient,
-    GMineHTTPServer,
-    dumps,
-)
+from repro.api import FrontendPolicy, GMineClient, GMineHTTPServer, dumps
 from repro.core.builder import build_gtree
 from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.errors import (
@@ -179,7 +174,7 @@ def smoke_one_backend(backend, tree, store_path, graph_path):
 
 
 def smoke_protocol_v2(tree, store_path, graph_path):
-    """Asyncio front-end, streamed cursors, registry sessions, guard rails."""
+    """Streamed cursors, registry sessions, transport guard rails."""
     hot = max(tree.leaves(), key=lambda node: node.size)
     args = {"sources": list(hot.members[:2]), "community": hot.label}
 
@@ -197,24 +192,23 @@ def smoke_protocol_v2(tree, store_path, graph_path):
         )
         print(f"[v2] measured cost model: {seeded} bench-seeded estimates")
         service.register_store(store_path, name="dblp", graph_path=graph_path)
-        with GMineHTTPServer(service, port=0) as threaded, \
-                GMineAsyncHTTPServer(service, port=0) as aio_server:
-            threaded_client = GMineClient.http(threaded.url)
-            aio = GMineClient.http(aio_server.url)
-            print(f"[v2] asyncio front-end serving on {aio_server.url}")
+        with GMineHTTPServer(service, port=0) as server:
+            client = GMineClient.http(server.url)
+            second = GMineClient.http(server.url)
+            print(f"[v2] serving on {server.url}")
 
             # ------------------------------------------------------------ #
-            # one streamed query over asyncio: chunked cursors reassemble
-            # byte-identically to the threaded server's one-shot payload
+            # one streamed query: chunked cursors reassemble
+            # byte-identically to the one-shot payload
             # ------------------------------------------------------------ #
-            aio.query("rwr", args=args).unwrap()  # warm: stable cached flags
-            chunks = list(aio.stream("rwr", args=args, chunk_size=64))
+            client.query("rwr", args=args).unwrap()  # warm: stable cached flags
+            chunks = list(client.stream("rwr", args=args, chunk_size=64))
             assert all(chunk.ok for chunk in chunks), "stream must succeed"
             assert len(chunks) > 1, "the full vector must actually chunk"
             assert chunks[-1].next_cursor is None
-            merged = aio.stream_result("rwr", args=args, chunk_size=64)
+            merged = client.stream_result("rwr", args=args, chunk_size=64)
             total = chunks[0].page["total"]
-            one_shot = threaded_client.query(
+            one_shot = second.query(
                 "rwr", args=args, page={"top_k": total}
             ).unwrap()
             assert dumps(merged) == dumps(one_shot), (
@@ -223,34 +217,34 @@ def smoke_protocol_v2(tree, store_path, graph_path):
             print(f"[v2] streamed {total} scores in {len(chunks)} cursor "
                   f"chunks; reassembly byte-identical to one-shot")
 
-            # resume mid-stream over the *other* front-end
-            resumed = list(threaded_client.stream(
+            # resume mid-stream from a *different* client
+            resumed = list(second.stream(
                 "rwr", args=args, cursor=chunks[0].next_cursor
             ))
             assert [r.to_dict() for r in resumed] == [
                 c.to_dict() for c in chunks[1:]
-            ], "a cursor resumes seamlessly across front-ends"
-            print("[v2] cursor resumption across front-ends ok")
+            ], "a cursor resumes seamlessly from another client"
+            print("[v2] cursor resumption from a second client ok")
 
             # ------------------------------------------------------------ #
             # session ops are registry citizens (no bespoke endpoints)
             # ------------------------------------------------------------ #
-            ops = {op["name"]: op for op in aio.ops()}
+            ops = {op["name"]: op for op in client.ops()}
             session_ops = [name for name in ops if name.startswith("session.")]
             assert session_ops, "registry must declare the session surface"
             assert all(ops[name]["scope"] == "session" for name in session_ops)
-            created = aio.call("session.create", name="v2", focus=hot.label)
+            created = client.call("session.create", name="v2", focus=hot.label)
             sid = created["session"]["session_id"]
-            via_session = aio.call("session.rwr", session_id=sid,
-                                   sources=args["sources"])
-            direct = threaded_client.query("rwr", args=args)
+            via_session = client.call("session.rwr", session_id=sid,
+                                      sources=args["sources"])
+            direct = second.query("rwr", args=args)
             assert direct.cached, "session variant must feed the shared cache"
             assert via_session == direct.unwrap()
-            aio.call("session.close", session_id=sid)
+            client.call("session.close", session_id=sid)
             print(f"[v2] {len(session_ops)} session ops in the registry; "
                   f"session.rwr == rwr (shared cache hit)")
 
-            backend_stats = aio.stats()["backend"]
+            backend_stats = client.stats()["backend"]
             assert backend_stats["name"] == "auto"
             assert backend_stats["choices"], "auto must record its choices"
             assert backend_stats["cost_model"], (
@@ -265,10 +259,10 @@ def smoke_protocol_v2(tree, store_path, graph_path):
                   f"{ {op: b['rule'] for op, b in backend_stats['decisions'].items()} }")
 
         # ---------------------------------------------------------------- #
-        # authed + rate-limited front-end: structured 401/429 envelopes
+        # authed + rate-limited server: structured 401/429 envelopes
         # ---------------------------------------------------------------- #
         policy = FrontendPolicy(auth_token="smoke-token", rate_limit=50.0)
-        with GMineAsyncHTTPServer(service, port=0, policy=policy) as guarded:
+        with GMineHTTPServer(service, port=0, policy=policy) as guarded:
             try:
                 GMineClient.http(guarded.url).ops()
                 raise AssertionError("missing bearer token must raise")
@@ -287,22 +281,40 @@ def smoke_protocol_v2(tree, store_path, graph_path):
                   f"rejections past the burst")
 
 
-def smoke_mutations():
-    """Edit + subscribe round-trip across both front-ends.
+def _parked_subscribe(service, watcher, dataset, since):
+    """Start a long-poll in a thread; return (thread, reply box) once parked."""
+    box = {}
+    feed, _ = service.subscribe_feed(dataset, 0)
+    thread = threading.Thread(
+        target=lambda: box.update(
+            watcher.subscribe(dataset=dataset, since=since, timeout=5.0)
+        ),
+        daemon=True,
+    )
+    thread.start()
+    deadline = time.monotonic() + 5.0
+    while feed.waiters == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert feed.waiters == 1, "the long-poll must park on the server"
+    return thread, box
 
-    One mutable dataset, two live front-ends over the same service: an
-    edit applied through either server must surface as a change event on
-    the other, carrying exactly the fingerprint the apply reported.
+
+def smoke_mutations():
+    """Edit + subscribe round-trip between two clients of one server.
+
+    One mutable dataset: a watcher parks a long-poll on the change feed,
+    an editor applies an edit script through its own connection, and the
+    watcher must wake with a change event carrying exactly the
+    fingerprint the apply reported.
     """
     mutable = generate_dblp(DBLPConfig(num_authors=200, seed=23))
     tree = build_gtree(mutable.graph, fanout=3, levels=2, seed=23)
 
     with GMineService(max_workers=4) as service:
         service.register_tree(tree, graph=mutable.graph, name="live")
-        with GMineHTTPServer(service, port=0) as threaded, \
-                GMineAsyncHTTPServer(service, port=0) as aio_server:
-            over_threads = GMineClient.http(threaded.url)
-            over_loop = GMineClient.http(aio_server.url)
+        with GMineHTTPServer(service, port=0) as server:
+            editor = GMineClient.http(server.url)
+            watcher = GMineClient.http(server.url)
 
             leaves = sorted(tree.leaves(), key=lambda node: -node.size)
             edited_leaf, quiet_leaf = leaves[0], leaves[-1]
@@ -314,50 +326,49 @@ def smoke_mutations():
 
             # Warm one partition-scoped and one root-scoped entry so the
             # edit has cache state to invalidate selectively.
-            over_threads.call("metrics", community=edited_leaf.label)
-            over_threads.call("connectivity")
-            watermark = over_loop.stats()["feeds"].get("live", 0)
+            editor.call("metrics", community=edited_leaf.label)
+            editor.call("connectivity")
+            watermark = watcher.stats()["feeds"].get("live", 0)
 
-            # Edit through the threaded server, observe through asyncio.
-            report = over_threads.apply_dataset(
+            # The watcher parks first; the edit wakes it.
+            thread, feed = _parked_subscribe(service, watcher, "live", watermark)
+            report = editor.apply_dataset(
                 "live",
                 [{"action": "add_edge", "u": u, "v": v, "weight": w + 1.0}],
             )
+            thread.join(timeout=5.0)
             assert report["changed"], report
             assert edited_leaf.label in report["changed_partitions"], report
-            feed = over_loop.subscribe(
-                dataset="live", since=watermark, timeout=5.0
-            )
             assert [event["fingerprint"] for event in feed["events"]] == [
                 report["fingerprint"]
-            ], "the asyncio watcher must see the threaded edit"
-            rows = {row["name"]: row for row in over_loop.datasets()}
+            ], "the parked watcher must wake with the edit"
+            rows = {row["name"]: row for row in watcher.datasets()}
             assert rows["live"]["fingerprint"] == report["fingerprint"]
-            print("[mutate] threaded edit -> asyncio subscriber ok "
+            print("[mutate] edit -> parked subscriber woke ok "
                   f"(seq {feed['next_since']}, "
                   f"{report['invalidated']} entries invalidated)")
 
-            # Mirror image: edit through asyncio, watch through threads.
             # Restoring the original weight returns the original content,
-            # so the event carries the pre-edit fingerprint again.
-            restored = over_loop.apply_dataset(
+            # so the next event carries the pre-edit fingerprint again; a
+            # poll issued *after* the edit answers at once.
+            restored = editor.apply_dataset(
                 "live",
                 [{"action": "add_edge", "u": u, "v": v, "weight": w}],
             )
             assert restored["changed"]
             assert restored["fingerprint"] == report["previous_fingerprint"]
-            mirror = over_threads.subscribe(
+            mirror = watcher.subscribe(
                 dataset="live", since=feed["next_since"], timeout=5.0
             )
             assert [event["fingerprint"] for event in mirror["events"]] == [
                 restored["fingerprint"]
-            ], "the threaded watcher must see the asyncio edit"
-            print("[mutate] asyncio edit -> threaded subscriber ok "
+            ], "a late poll must still see the second edit"
+            print("[mutate] second edit -> late poll ok "
                   "(restored the original fingerprint)")
 
             # A watcher filtered to a community neither edit touched is
             # advanced past both events without being woken for them.
-            filtered = over_threads.subscribe(
+            filtered = watcher.subscribe(
                 dataset="live", since=watermark,
                 community=quiet_leaf.label,
             )
@@ -370,23 +381,21 @@ def smoke_mutations():
 def smoke_gpath(tree, store_path, graph_path, workdir: Path):
     """GPath over the wire plus the ingest loading pipeline.
 
-    ``query.path`` must return byte-identical envelopes over the threaded
-    server, the asyncio server and the in-process transport; the fused
-    ``rwr(...)/top(5)`` plan must agree exactly with the direct
-    ``rwr`` slice; parse errors must surface as structured
-    ``QUERY_PARSE_ERROR`` envelopes with source spans on both front-ends;
-    and a CSV ingested through one front-end must immediately answer path
-    queries on the other.
+    ``query.path`` must return byte-identical envelopes over HTTP and
+    the in-process transport; the fused ``rwr(...)/top(5)`` plan must
+    agree exactly with the direct ``rwr`` slice; parse errors must
+    surface as structured ``QUERY_PARSE_ERROR`` envelopes with source
+    spans; and a CSV ingested by one client must immediately answer
+    another client's path queries.
     """
     hot = sorted(tree.leaves(), key=lambda node: -node.size)[0]
     sources = list(hot.members[:2])
 
     with GMineService(max_workers=4) as service:
         service.register_store(store_path, name="dblp", graph_path=graph_path)
-        with GMineHTTPServer(service, port=0) as threaded, \
-                GMineAsyncHTTPServer(service, port=0) as aio_server:
-            over_threads = GMineClient.http(threaded.url)
-            over_loop = GMineClient.http(aio_server.url)
+        with GMineHTTPServer(service, port=0) as server:
+            remote = GMineClient.http(server.url)
+            other = GMineClient.http(server.url)
             local = GMineClient.in_process(service)
 
             src = ", ".join(str(s) for s in sources)
@@ -395,40 +404,35 @@ def smoke_gpath(tree, store_path, graph_path, workdir: Path):
                 f"rwr(sources=[{src}])/top(5)"
             )
             args = {"path": fused}
-            fused_payload = over_threads.call("query.path", path=fused)
+            fused_payload = remote.call("query.path", path=fused)
             # warm above, so the cached flag agrees across the probes below
-            raw = over_threads.query_raw("query.path", args=args)
-            assert raw == over_loop.query_raw("query.path", args=args), (
-                "threaded and asyncio front-ends must serve identical bytes"
-            )
+            raw = remote.query_raw("query.path", args=args)
             assert raw == local.query_raw("query.path", args=args), (
                 "in-process and HTTP transports must serve identical bytes"
             )
-            direct = over_threads.call(
+            direct = remote.call(
                 "rwr", page={"top_k": 5},
                 sources=sources, community=hot.label,
             )
             assert fused_payload["items"] == direct["scores"], (
                 "fused top(5) must equal the direct rwr slice"
             )
-            listing = over_loop.call("query.path", path="leaves/nodes")
+            listing = other.call("query.path", path="leaves/nodes")
             assert listing["count"] == len(tree.leaves())
             print("[gpath] fused rwr/top(5) == direct rwr slice; "
-                  "3-way transport parity ok")
+                  "transport parity ok")
 
             bad = "community(s0)/teleport"
-            for front, client in (("threaded", over_threads),
-                                  ("asyncio", over_loop)):
-                reply = client.query("query.path", args={"path": bad})
-                assert not reply.ok, "a parse error must not succeed"
-                assert reply.error.code == "QUERY_PARSE_ERROR", reply.error
-                span = reply.error.details["span"]
-                source = reply.error.details["source"]
-                assert source[span[0]:span[1]] == "teleport", reply.error
-                print(f"[gpath] {front} parse error -> QUERY_PARSE_ERROR "
-                      f"with span {span} ok")
+            reply = remote.query("query.path", args={"path": bad})
+            assert not reply.ok, "a parse error must not succeed"
+            assert reply.error.code == "QUERY_PARSE_ERROR", reply.error
+            span = reply.error.details["span"]
+            source = reply.error.details["source"]
+            assert source[span[0]:span[1]] == "teleport", reply.error
+            print(f"[gpath] parse error -> QUERY_PARSE_ERROR "
+                  f"with span {span} ok")
 
-            # ingest round-trip: CSV in via asyncio, queried via threads
+            # ingest round-trip: CSV in via one client, queried by another
             csv_path = workdir / "ring.csv"
             csv_path.write_text(
                 "source,target,weight\n" + "".join(
@@ -436,17 +440,17 @@ def smoke_gpath(tree, store_path, graph_path, workdir: Path):
                 ),
                 encoding="utf-8",
             )
-            report = over_loop.call(
+            report = other.call(
                 "dataset.ingest", path=str(csv_path), name="ring",
                 fanout=2, levels=2,
             )
             assert report["dataset"] == "ring" and report["nodes"] == 30
-            count = over_threads.call(
+            count = remote.call(
                 "query.path", dataset="ring", path="members/count"
             )
             assert count["count"] == report["nodes"]
             print(f"[gpath] ingest round-trip ok: {report['nodes']} nodes, "
-                  f"{report['tree']['leaves']} leaves, queried cross-front-end")
+                  f"{report['tree']['leaves']} leaves, queried by a second client")
 
 
 def main() -> None:

@@ -15,13 +15,13 @@ This package owns everything between a caller and the mining engine:
   :class:`ResultCursor` stream tokens, and the structured error taxonomy
   mapped from :mod:`repro.errors`;
 * :mod:`~repro.api.router` — transport-neutral routing shared by every
-  front-end, with one canonical JSON serialisation and the chunked
-  ``/v1/stream`` surface;
-* :mod:`~repro.api.http` — the stdlib threaded HTTP front-end
-  (``gmine serve --http PORT``) plus the shared :class:`FrontendPolicy`
-  (bearer auth + token-bucket rate limiting);
-* :mod:`~repro.api.aio` — the asyncio HTTP front-end
-  (``gmine serve --http PORT --asyncio``), same router, same bytes;
+  transport, with one canonical JSON serialisation, the chunked
+  ``/v1/stream`` surface and the long-poll hand-off;
+* :mod:`~repro.api.http` — the one HTTP server (``gmine serve --http
+  PORT``): a stdlib asyncio event loop that runs compute in its executor
+  and parks ``dataset.subscribe`` long-polls as loop futures, plus its
+  :class:`FrontendPolicy` (bearer auth, token-bucket rate limiting,
+  ``max_inflight`` shedding);
 * :mod:`~repro.api.client` — :class:`GMineClient`, one client API over
   the in-process or HTTP transports, with a streaming iterator,
   byte-identical payloads guaranteed by construction.
@@ -31,7 +31,6 @@ None of these modules import the service package — the service imports
 and client-only deployments.
 """
 
-from .aio import GMineAsyncHTTPServer, serve_aio
 from .client import GMineClient, HTTPTransport, InProcessTransport
 from .http import FrontendPolicy, GMineHTTPServer, TokenBucket, serve_http
 from .ops import DEFAULT_REGISTRY, OpContext, build_default_registry, encode_result
@@ -56,6 +55,10 @@ from .wire import (
     http_status_for,
     request_digest,
 )
+
+#: One class, two names: ``benchmarks/e2e`` (frozen) imports the server
+#: under this second name too, so it stays bound to the same object.
+GMineAsyncHTTPServer = GMineHTTPServer
 
 __all__ = [
     "ArgSpec",
@@ -92,6 +95,5 @@ __all__ = [
     "plan_for",
     "request_digest",
     "run_plan",
-    "serve_aio",
     "serve_http",
 ]

@@ -4,12 +4,11 @@ The client mirrors the service surface — queries, batches, streams, op
 discovery, stats, and session lifecycle — over either transport:
 
 * **in-process**: ``GMineClient.in_process(service)`` routes through the
-  same :class:`~repro.api.router.ProtocolRouter` the HTTP servers use and
+  same :class:`~repro.api.router.ProtocolRouter` the HTTP server uses and
   serialises payloads with the same canonical ``dumps``, so the bytes are
   identical to what a socket would carry;
 * **HTTP**: ``GMineClient.http(url)`` speaks to a running
-  ``gmine serve --http`` front-end — threaded or asyncio, the wire is the
-  same — via :mod:`urllib` (stdlib only).  ``auth_token=`` attaches the
+  ``gmine serve --http`` server via :mod:`urllib` (stdlib only).  ``auth_token=`` attaches the
   bearer token a :class:`~repro.api.http.FrontendPolicy` demands.
 
 Protocol v2 adds the **streaming iterator API**: :meth:`GMineClient.stream`

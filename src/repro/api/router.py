@@ -1,12 +1,12 @@
 """Transport-neutral routing for GMine Protocol v2.
 
 The :class:`ProtocolRouter` maps ``(method, path, body)`` triples onto the
-service — exactly the surface the HTTP front-ends expose — and returns
+service — exactly the surface the HTTP server exposes — and returns
 ``(status, payload)`` pairs of plain JSON-safe data.  Every transport
-calls it: :mod:`repro.api.http` (threaded) and :mod:`repro.api.aio`
-(asyncio) feed it real sockets, and the in-process transport of
-:class:`~repro.api.client.GMineClient` calls :meth:`ProtocolRouter.handle`
-directly and serialises the payload with the very same :func:`dumps`.
+calls it: :mod:`repro.api.http` feeds it real sockets, and the in-process
+transport of :class:`~repro.api.client.GMineClient` calls
+:meth:`ProtocolRouter.handle` directly and serialises the payload with
+the very same :func:`dumps`.
 That shared path is the parity guarantee: the bytes a client sees cannot
 depend on the transport.
 
@@ -42,7 +42,17 @@ Routes::
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from ..errors import (
     GMineError,
@@ -84,7 +94,7 @@ def dumps(payload: Mapping[str, Any]) -> bytes:
 def error_payload(error: BaseException) -> Handled:
     """Flatten any exception into a structured ``(status, envelope)`` pair.
 
-    Shared by the router and both HTTP front-ends (which use it for
+    Shared by the router and the HTTP server (which uses it for
     transport-level failures like auth and rate-limit rejections), so
     every failure path emits the same canonical envelope shape.
     """
@@ -112,6 +122,42 @@ def _not_found(path: str) -> Handled:
             },
         },
     )
+
+
+class LongPoll:
+    """A waiting ``dataset.subscribe``, unbundled so a server can park it.
+
+    :meth:`poll` answers the request as if its ``timeout`` were 0 — the
+    same registry path, so the same bytes a blocking wait would return —
+    and says whether that answer is final.  Between polls the caller
+    waits on :attr:`feed` (``add_listener``) for at most :attr:`timeout`
+    seconds in total, holding no thread.
+    """
+
+    def __init__(
+        self,
+        feed,
+        timeout: float,
+        run: Callable[[], Response],
+        shape: Callable[[Response], Handled],
+    ) -> None:
+        self.feed = feed
+        self.timeout = timeout
+        self._run = run
+        self._shape = shape
+
+    def poll(self) -> Tuple[int, JsonDict, bool]:
+        """``(status, payload, final)``; final = error, events or lag."""
+        try:
+            response = self._run()
+        except Exception as error:  # noqa: BLE001 — same boundary as handle()
+            return (*error_payload(error), True)
+        final = (
+            not response.ok
+            or bool(response.result["events"])
+            or response.result["lagged"]
+        )
+        return (*self._shape(response), final)
 
 
 class ProtocolRouter:
@@ -211,7 +257,10 @@ class ProtocolRouter:
     # queries
     # ------------------------------------------------------------------ #
     def query(self, body: Mapping[str, Any]) -> Handled:
-        response = self._run_query(body)
+        return self._query_shape(self._run_query(body))
+
+    @staticmethod
+    def _query_shape(response: Response) -> Handled:
         return response.status, response.to_dict()
 
     def batch(self, body: Mapping[str, Any]) -> Handled:
@@ -520,16 +569,67 @@ class ProtocolRouter:
         """Alias of op ``dataset.subscribe``: long-poll the change feed.
 
         Body: ``{"dataset": ..., "since": N, "timeout": seconds,
-        "community": ...}``.  Blocks (bounded server-side) until an event
-        after ``since`` arrives; both front-ends run router handlers off
-        the accept loop, so the wait never stalls other requests.
+        "community": ...}``.  Blocks the calling thread (bounded
+        server-side) until an event after ``since`` arrives — the
+        in-process transport's long-poll.  The HTTP server never gets
+        here with a positive timeout: it takes the request apart with
+        :meth:`long_poll` and parks it on the event loop, so the wait
+        never stalls other requests however many subscribers are parked.
         """
-        args = {
+        return self._registry_call(
+            "dataset.subscribe", self._subscribe_args(body)
+        )
+
+    @staticmethod
+    def _subscribe_args(body: Mapping[str, Any]) -> JsonDict:
+        return {
             key: body.get(key)
             for key in ("dataset", "since", "timeout", "community")
             if body.get(key) is not None
         }
-        return self._registry_call("dataset.subscribe", args)
+
+    def long_poll(
+        self, method: str, path: str, body: Optional[Mapping[str, Any]]
+    ) -> Optional[LongPoll]:
+        """Unbundle a ``dataset.subscribe`` that would wait, else ``None``.
+
+        Recognises both spellings — ``POST /v1/subscribe`` and op
+        ``dataset.subscribe`` through ``POST /v1/query``.  ``None`` covers
+        every other request *and* every subscribe that answers at once
+        (timeout 0 or malformed, unknown dataset): those take
+        :meth:`handle` and get their ordinary envelope.
+        """
+        if method.upper() != "POST" or not body:
+            return None
+        parts = [part for part in path.split("/") if part]
+        if parts == ["v1", "subscribe"]:
+            envelope: JsonDict = {
+                "op": "dataset.subscribe",
+                "args": self._subscribe_args(body),
+            }
+            shape = self._legacy_shape
+        elif parts == ["v1", "query"] and body.get("op") == "dataset.subscribe":
+            envelope = dict(body)
+            shape = self._query_shape
+        else:
+            return None
+        args = envelope.get("args")
+        timeout = args.get("timeout") if isinstance(args, Mapping) else None
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not timeout > 0
+        ):
+            return None
+        dataset = args.get("dataset")
+        try:
+            feed, wait = self.service.subscribe_feed(
+                envelope.get("dataset") if dataset is None else dataset, timeout
+            )
+        except (GMineError, KeyError, TypeError, ValueError):
+            return None
+        envelope["args"] = {**args, "timeout": 0}
+        return LongPoll(feed, wait, lambda: self._run_query(envelope), shape)
 
     # ------------------------------------------------------------------ #
     # sessions: wire-compatible aliases over the registry's session ops
@@ -542,7 +642,12 @@ class ProtocolRouter:
         validation, canonicalization and dispatch happen in the registry —
         exactly the same path a ``POST /v1/query`` for the op takes.
         """
-        response = self._run_query({"op": op, "args": dict(args)})
+        return self._legacy_shape(
+            self._run_query({"op": op, "args": dict(args)})
+        )
+
+    @staticmethod
+    def _legacy_shape(response: Response) -> Handled:
         if not response.ok:
             error = response.error or WireError("INTERNAL", "")
             return response.status, {

@@ -31,7 +31,7 @@ exception hierarchy in :mod:`repro.errors`; :func:`error_code_for` walks an
 exception's MRO to the nearest declared ancestor, and
 :func:`exception_for_code` inverts the mapping so clients (and
 ``QueryResult.unwrap``) re-raise *typed* exceptions rather than strings.
-All transports — in-process, threaded HTTP, and asyncio HTTP — speak
+Both transports — in-process and HTTP — speak
 exactly these envelopes, which is what makes the byte-identical parity
 guarantee testable.
 """

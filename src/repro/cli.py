@@ -15,8 +15,8 @@ Subcommands mirror the workflow of the original demo:
 * ``gmine render`` — render a Tomahawk view or a subgraph to SVG,
 * ``gmine serve`` — execute a batch of query requests through the
   multi-session service, or with ``--http PORT`` expose the service as the
-  GMine Protocol HTTP front-end (``--asyncio`` for the event-loop server;
-  ``--auth-token``/``--rate-limit`` for transport guard rails;
+  GMine Protocol HTTP server (``--auth-token``/``--rate-limit``/
+  ``--max-inflight`` for transport guard rails;
   ``--backend auto`` to pick the execution venue per op),
 * ``gmine session`` — create/resume serialisable exploration sessions
   (``gmine session create``, ``gmine session resume``).
@@ -36,9 +36,8 @@ from typing import List, Optional, Sequence
 from .api import (
     DEFAULT_REGISTRY,
     FrontendPolicy,
-    GMineAsyncHTTPServer,
     GMineClient,
-    GMineHTTPServer,
+    serve_http,
 )
 from .core.builder import GTreeBuildOptions, GTreeBuilder
 from .core.engine import GMineEngine
@@ -516,39 +515,41 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 rate_limit=args.rate_limit,
                 max_inflight=args.max_inflight,
             )
-        server_class = GMineAsyncHTTPServer if args.use_asyncio else GMineHTTPServer
-        with _open_service(args) as service:
-            server = server_class(
-                service, host=args.host, port=args.http, policy=policy
-            )
-            if args.use_asyncio:
-                server.start()  # bind now so the banner shows the real port
-            host, port = server.address
-            front_end = "asyncio" if args.use_asyncio else "threaded"
-            guards = "" if policy is None else f", policy={dict(policy.describe())}"
-            print(
-                f"gmine/1 serving {service.datasets()} on http://{host}:{port} "
-                f"({front_end} front-end, backend={service.backend.name}{guards}; "
-                f"POST /v1/query, /v1/stream, /v1/batch; GET /v1/ops)",
-                file=sys.stderr,
-            )
-            # Route SIGTERM (docker stop, systemd) through the same
-            # graceful path as Ctrl-C: the service close below unlinks
-            # shared prepared-graph segments and persists the cost model,
-            # neither of which happens on an abrupt exit.
-            import signal
+        # Route SIGTERM (docker stop, systemd) through the same graceful
+        # path as Ctrl-C: the service close below unlinks shared
+        # prepared-graph segments and persists the cost model, neither of
+        # which happens on an abrupt exit.
+        import signal
 
-            def _terminate(signum, frame):
-                raise KeyboardInterrupt
+        def _terminate(signum, frame):
+            raise KeyboardInterrupt
+
+        with _open_service(args) as service:
+
+            def banner(server) -> None:
+                host, port = server.address
+                guards = (
+                    "" if policy is None
+                    else f", policy={dict(policy.describe())}"
+                )
+                print(
+                    f"gmine/1 serving {service.datasets()} on "
+                    f"http://{host}:{port} "
+                    f"(backend={service.backend.name}{guards}; "
+                    f"POST /v1/query, /v1/stream, /v1/batch; GET /v1/ops)",
+                    file=sys.stderr,
+                )
 
             previous_sigterm = signal.signal(signal.SIGTERM, _terminate)
             try:
-                server.serve_forever()
+                serve_http(
+                    service, host=args.host, port=args.http,
+                    policy=policy, ready=banner,
+                )
             except KeyboardInterrupt:
-                pass
+                pass  # SIGTERM landed outside serve_http's own handler
             finally:
                 signal.signal(signal.SIGTERM, previous_sigterm)
-                server.stop()
         return 0
     if not args.requests:
         raise CLIError("serve needs --requests FILE (batch mode) or --http PORT")
@@ -840,14 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--http", type=int, default=None, metavar="PORT",
-        help="serve the gmine/1 HTTP front-end on PORT instead of a batch file",
+        help="serve gmine/1 over HTTP on PORT instead of running a batch file "
+             "(one event-loop server: compute runs in its thread pool, "
+             "dataset.subscribe long-polls park on the loop)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
-    serve.add_argument(
-        "--asyncio", action="store_true", dest="use_asyncio",
-        help="serve the HTTP front-end from an asyncio event loop instead of "
-             "one thread per connection (same router, byte-identical wire)",
-    )
     serve.add_argument(
         "--auth-token", default=None, dest="auth_token", metavar="TOKEN",
         help="require 'Authorization: Bearer TOKEN' on every HTTP request "

@@ -93,18 +93,28 @@ def spectral_bisection(
     chosen so each side holds half the total vertex weight — a weighted
     median split, which keeps the result balanced even with heavy
     super-vertices.
+
+    The result is a pure function of the graph: the Lanczos start vector
+    is fixed (left unset, ARPACK draws it from OS entropy and the same
+    graph bisects differently from run to run) and the eigenvector's
+    arbitrary sign is normalised.
     """
     n = graph.num_nodes
     if n < 4:
         return None
     try:
         laplacian, index = combinatorial_laplacian(graph)
+        v0 = np.random.default_rng(n).uniform(-1.0, 1.0, n)
         # Smallest two eigenpairs; the second is the Fiedler vector.
-        values, vectors = eigsh(laplacian.asfptype(), k=2, sigma=-1e-6, which="LM")
+        values, vectors = eigsh(
+            laplacian.asfptype(), k=2, sigma=-1e-6, which="LM", v0=v0
+        )
         order = np.argsort(values)
         fiedler = vectors[:, order[1]]
     except Exception:
         return None
+    if fiedler[np.argmax(np.abs(fiedler))] < 0:
+        fiedler = -fiedler
     ranked = sorted(range(n), key=lambda i: fiedler[i])
     total = sum(vertex_weights[index.node_at(i)] for i in ranked)
     assignment: Dict[NodeId, int] = {}

@@ -8,15 +8,18 @@ Sessions watching a community long-poll ``POST /v1/subscribe`` and receive
 those events as push invalidations: a client holding cursors or local
 caches learns *which* partitions to drop instead of flushing everything.
 
-The feed is a bounded in-memory event log plus a condition variable:
+The feed is a bounded in-memory event log with two ways to wait on it:
 
 * :meth:`ChangeFeed.publish` stamps a monotonically increasing sequence
   number and wakes every waiting subscriber;
 * :meth:`ChangeFeed.wait_for` returns the events newer than the caller's
-  ``since`` cursor, blocking up to a timeout when there are none yet —
-  which is what turns a plain request/response round trip into a
-  long-poll on both the threaded and the asyncio front-end (the asyncio
-  router already runs handlers in an executor, so blocking here is safe).
+  ``since`` cursor, blocking the calling thread up to a timeout when
+  there are none yet — the in-process long-poll;
+* :meth:`ChangeFeed.add_listener` registers a callback fired on every
+  ``publish`` and on ``close`` — the non-blocking primitive: the HTTP
+  server parks a long-poll as an event-loop future, lets a listener wake
+  it, and re-reads the log with a zero timeout, so a parked subscriber
+  holds no thread.
 
 The log is bounded (old events fall off), so a subscriber that slept
 through more than ``history`` events is told it *lagged*: it receives the
@@ -29,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class ChangeEvent:
 
 
 class ChangeFeed:
-    """Bounded event log + condition variable for one dataset's changes.
+    """Bounded event log + wake-ups for one dataset's changes.
 
     ``close()`` wakes every long-poller immediately (they return their
     empty/partial result instead of sleeping out the timeout) so service
@@ -95,6 +98,7 @@ class ChangeFeed:
         self._published = 0
         self._closed = False
         self._waiters = 0
+        self._listeners: Set[Callable[[], None]] = set()
 
     @property
     def closed(self) -> bool:
@@ -103,15 +107,33 @@ class ChangeFeed:
 
     @property
     def waiters(self) -> int:
-        """Long-polls currently parked on the condition variable."""
+        """Long-polls currently parked: blocked threads plus listeners."""
         with self._cond:
-            return self._waiters
+            return self._waiters + len(self._listeners)
+
+    def add_listener(self, listener: Callable[[], None]) -> None:
+        """Call ``listener()`` after every ``publish`` and on ``close``.
+
+        Listeners run on the publishing thread, outside the feed lock, and
+        carry no payload: the woken party re-reads the log from its own
+        cursor (:meth:`events_since`, or :meth:`wait_for` with timeout 0).
+        They must be cheap and must not raise.
+        """
+        with self._cond:
+            self._listeners.add(listener)
+
+    def remove_listener(self, listener: Callable[[], None]) -> None:
+        with self._cond:
+            self._listeners.remove(listener)
 
     def close(self) -> None:
         """Wake every waiting long-poll and refuse further blocking waits."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener()
 
     @property
     def last_seq(self) -> int:
@@ -133,7 +155,10 @@ class ChangeFeed:
             if len(self._events) > self.history:
                 del self._events[: len(self._events) - self.history]
             self._cond.notify_all()
-            return event
+            listeners = list(self._listeners)
+        for listener in listeners:
+            listener()
+        return event
 
     def events_since(self, since: int) -> Tuple[List[ChangeEvent], bool]:
         """Events with ``seq > since`` plus whether the caller lagged.

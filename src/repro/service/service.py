@@ -478,8 +478,8 @@ class GMineService:
             and handle.tree.has_node(scope)
         ):
             scope = handle.tree.node(scope).label
-        wait = min(max(0.0, float(timeout)), MAX_SUBSCRIBE_TIMEOUT)
-        events, lagged, next_since = self._feed(handle.name).wait_for(
+        feed, wait = self.subscribe_feed(handle.name, timeout)
+        events, lagged, next_since = feed.wait_for(
             int(since), wait, scope if isinstance(scope, str) else None
         )
         # Re-resolve for the freshest fingerprint (the dataset may have
@@ -498,6 +498,19 @@ class GMineService:
             "lagged": lagged,
             "events": [event.as_payload() for event in events],
         }
+
+    def subscribe_feed(
+        self, dataset: Optional[str], timeout: float
+    ) -> Tuple[ChangeFeed, float]:
+        """The feed a ``dataset.subscribe`` waits on and its capped wait.
+
+        The hand-off the HTTP server parks long-polls with: it listens on
+        the feed (:meth:`ChangeFeed.add_listener`) for at most the
+        returned number of seconds instead of blocking a thread in
+        :meth:`subscribe`.
+        """
+        wait = min(max(0.0, float(timeout)), MAX_SUBSCRIBE_TIMEOUT)
+        return self._feed(self._dataset(dataset).name), wait
 
     def _feed(self, name: str) -> ChangeFeed:
         with self._lock:

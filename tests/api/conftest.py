@@ -1,18 +1,17 @@
 """Shared fixtures for the GMine Protocol v2 test suite.
 
 One small DBLP dataset and G-Tree are built once per session; each test
-gets a fresh service over them.  ``http_server`` / ``aio_server`` bind
-port 0 so parallel test runs never collide; the paired ``clients``
-fixture hands back an in-process and a threaded-HTTP client, and
-``all_clients`` adds the asyncio front-end — all over the *same* service,
-the precondition for byte-identical parity checks.
+gets a fresh service over them.  ``http_server`` binds port 0 so parallel
+test runs never collide; ``all_clients`` hands back an in-process and an
+HTTP client over the *same* service, the precondition for byte-identical
+parity checks.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import GMineAsyncHTTPServer, GMineClient, GMineHTTPServer
+from repro.api import GMineClient, GMineHTTPServer
 from repro.core.builder import build_gtree
 from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.service import GMineService
@@ -37,34 +36,17 @@ def service(api_dataset):
 
 @pytest.fixture
 def http_server(service):
-    """The threaded HTTP front-end on an ephemeral port."""
+    """The HTTP server on an ephemeral port."""
     with GMineHTTPServer(service, port=0) as server:
         yield server
 
 
 @pytest.fixture
-def aio_server(service):
-    """The asyncio front-end over the same service, ephemeral port."""
-    with GMineAsyncHTTPServer(service, port=0) as server:
-        yield server
-
-
-@pytest.fixture
-def clients(service, http_server):
+def all_clients(service, http_server):
     """(in-process client, HTTP client) over one shared service."""
     return (
         GMineClient.in_process(service),
         GMineClient.http(http_server.url),
-    )
-
-
-@pytest.fixture
-def all_clients(service, http_server, aio_server):
-    """(in-process, threaded-HTTP, asyncio-HTTP) clients, one service."""
-    return (
-        GMineClient.in_process(service),
-        GMineClient.http(http_server.url),
-        GMineClient.http(aio_server.url),
     )
 
 

@@ -1,8 +1,8 @@
 """The acceptance criterion: byte-identical payloads across transports.
 
 For **every** dataset-scoped operation in the registry, the in-process
-client, the threaded-HTTP client and the asyncio-HTTP client must return
-exactly the same canonical bytes for the same request.  The cache is
+client and the HTTP client must return exactly the same canonical bytes
+for the same request.  The cache is
 warmed first so every transport observes the same service state (the
 ``cached`` flag is part of the payload, honestly).  Failures must be
 byte-identical too — a structured error envelope is part of the protocol,
@@ -11,7 +11,7 @@ not an accident of the transport.
 Protocol v2 extends the bar to the session scope and to streaming:
 session-scoped results (idempotent reads, delegated mining variants, and
 step sequences modulo the session id) and streamed cursor chunks must be
-byte-identical across all three transports, and reassembled streams must
+byte-identical across both transports, and reassembled streams must
 reproduce the one-shot payload exactly.
 """
 
@@ -65,11 +65,11 @@ class TestTransportParity:
     def test_every_op_is_byte_identical_across_transports(
         self, all_clients, hot_leaf, sibling_pair, op
     ):
-        local, remote, aio = all_clients
+        local, remote = all_clients
         args = _request_for(op, hot_leaf, sibling_pair)
         local.query(op, args=args).unwrap()  # warm: every transport hits cache
         raws = {
-            client.query_raw(op, args=args) for client in (local, remote, aio)
+            client.query_raw(op, args=args) for client in (local, remote)
         }
         assert len(raws) == 1, f"{op}: transports disagree"
         payload = json.loads(next(iter(raws)).decode("utf-8"))
@@ -79,13 +79,13 @@ class TestTransportParity:
 
     @pytest.mark.parametrize("op", DATASET_OPS)
     def test_parity_with_pagination(self, all_clients, hot_leaf, sibling_pair, op):
-        local, remote, aio = all_clients
+        local, remote = all_clients
         args = _request_for(op, hot_leaf, sibling_pair)
         page = {"top_k": 3, "offset": 0, "limit": 2}
         local.query(op, args=args, page=page).unwrap()
         raws = {
             client.query_raw(op, args=args, page=page)
-            for client in (local, remote, aio)
+            for client in (local, remote)
         }
         assert len(raws) == 1
 
@@ -149,18 +149,18 @@ class TestTransportParity:
         replies = [
             [r.to_dict() for r in client.batch(requests)] for client in all_clients
         ]
-        assert replies[0] == replies[1] == replies[2]
+        assert replies[0] == replies[1]
 
     def test_ops_and_stats_parity(self, all_clients):
-        local, remote, aio = all_clients
-        assert local.ops() == remote.ops() == aio.ops()
+        local, remote = all_clients
+        assert local.ops() == remote.ops()
         # stats change between calls (the remote call itself may not touch
         # the cache, but sessions/compute counters must agree in shape)
-        assert set(local.stats()) == set(remote.stats()) == set(aio.stats())
+        assert set(local.stats()) == set(remote.stats())
 
 
 class TestSessionScopedParity:
-    """Acceptance: session results byte-identical across all transports."""
+    """Acceptance: session results byte-identical across transports."""
 
     def test_registry_lists_every_session_op_with_scope(self, all_clients):
         # `gmine ops --describe` derives from the same describe() table
@@ -170,7 +170,7 @@ class TestSessionScopedParity:
                 assert rows[name]["scope"] == "session", name
 
     def test_session_reads_are_byte_identical(self, all_clients, hot_leaf):
-        local, remote, aio = all_clients
+        local, remote = all_clients
         leaf, _ = hot_leaf
         info = local.call("session.create", name="parity", focus=leaf.label)
         sid = info["session"]["session_id"]
@@ -179,7 +179,7 @@ class TestSessionScopedParity:
             ("session.list", {}),
         ):
             raws = {
-                client.query_raw(op, args=args) for client in (local, remote, aio)
+                client.query_raw(op, args=args) for client in (local, remote)
             }
             assert len(raws) == 1, f"{op}: transports disagree"
 
@@ -187,7 +187,7 @@ class TestSessionScopedParity:
     def test_session_mining_is_byte_identical_and_shares_cache(
         self, all_clients, hot_leaf, op
     ):
-        local, remote, aio = all_clients
+        local, remote = all_clients
         leaf, members = hot_leaf
         info = local.call("session.create", name="miner", focus=leaf.label)
         sid = info["session"]["session_id"]
@@ -195,7 +195,7 @@ class TestSessionScopedParity:
         if op == "session.rwr":
             args["sources"] = members
         local.query(op, args=args).unwrap()  # warm the delegated cache entry
-        raws = {client.query_raw(op, args=args) for client in (local, remote, aio)}
+        raws = {client.query_raw(op, args=args) for client in (local, remote)}
         assert len(raws) == 1
         # the variant fed the *shared* cache: the direct dataset op for the
         # focused community is a hit on its first call
@@ -228,24 +228,24 @@ class TestSessionScopedParity:
                 payload["session"].pop("session_id")
             flattened.append(dumps({"steps": payloads}))
             client.call("session.close", session_id=sid)
-        assert flattened[0] == flattened[1] == flattened[2]
+        assert flattened[0] == flattened[1]
 
 
 class TestStreamedParity:
-    """Acceptance: streamed results byte-identical across all transports."""
+    """Acceptance: streamed results byte-identical across transports."""
 
     @pytest.mark.parametrize("op", STREAMABLE_OPS)
     def test_chunks_are_byte_identical_across_transports(
         self, all_clients, hot_leaf, sibling_pair, op
     ):
-        local, remote, aio = all_clients
+        local, remote = all_clients
         args = _session_scoped(local, _request_for(op, hot_leaf, sibling_pair), op)
         local.query(op, args=args).unwrap()  # warm
         chunk_lists = [
             client.stream_raw(op, args=args, chunk_size=3)
-            for client in (local, remote, aio)
+            for client in (local, remote)
         ]
-        assert chunk_lists[0] == chunk_lists[1] == chunk_lists[2]
+        assert chunk_lists[0] == chunk_lists[1]
         first = json.loads(chunk_lists[0][0].decode("utf-8"))
         total = first["page"]["total"]
         expected_chunks = max(1, -(-total // 3))
@@ -257,7 +257,7 @@ class TestStreamedParity:
     def test_reassembly_equals_one_shot_payload(
         self, all_clients, hot_leaf, sibling_pair, op
     ):
-        local, remote, _ = all_clients
+        local, remote = all_clients
         spec = DEFAULT_REGISTRY.get(op)
         args = _session_scoped(local, _request_for(op, hot_leaf, sibling_pair), op)
         merged = remote.stream_result(op, args=args, chunk_size=7)

@@ -2,9 +2,9 @@
 
 The acceptance bars from the GPath issue:
 
-* byte-identical payloads for the same query across the in-process,
-  threaded-HTTP and asyncio-HTTP front-ends **and** across the inline,
-  thread and process execution backends (the store is registered with
+* byte-identical payloads for the same query across the in-process and
+  HTTP transports **and** across the inline, thread and process
+  execution backends (the store is registered with
   ``graph_path`` so process workers genuinely recompile and re-execute);
 * community-scoped path queries key their cache entries by partition
   Merkle sub-fingerprints — a one-edge edit to a *different* community
@@ -12,7 +12,7 @@ The acceptance bars from the GPath issue:
 * a fused ``rwr(...)/top(k)`` query returns exactly the scores of the
   direct ``rwr`` op for the same community and sources;
 * parse failures surface as structured 400 ``QUERY_PARSE_ERROR``
-  envelopes carrying the source span over every front-end — never a 500
+  envelopes carrying the source span over HTTP — never a 500
   — including inside ``/v1/batch``, where they stay isolated.
 """
 
@@ -22,7 +22,7 @@ import urllib.request
 
 import pytest
 
-from repro.api import GMineAsyncHTTPServer, GMineClient, GMineHTTPServer
+from repro.api import GMineClient
 from repro.core.builder import build_gtree
 from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.errors import NavigationError, QueryParseError
@@ -48,9 +48,9 @@ def _post(url, payload):
 
 
 class TestPathResults:
-    def test_nodes_query_lists_the_community(self, clients, hot_leaf):
+    def test_nodes_query_lists_the_community(self, all_clients, hot_leaf):
         leaf, _ = hot_leaf
-        for client in clients:
+        for client in all_clients:
             payload = client.call(
                 "query.path",
                 path=f"community({leaf.label})/members/nodes",
@@ -60,10 +60,10 @@ class TestPathResults:
             assert payload["count"] == leaf.size
             assert set(payload["items"]) == set(leaf.members)
 
-    def test_fused_top_k_matches_direct_rwr(self, clients, hot_leaf):
+    def test_fused_top_k_matches_direct_rwr(self, all_clients, hot_leaf):
         leaf, members = hot_leaf
         sources = ", ".join(str(m) for m in members)
-        for client in clients:
+        for client in all_clients:
             fused = client.call(
                 "query.path",
                 path=(
@@ -80,18 +80,18 @@ class TestPathResults:
             assert fused["rwr"]["iterations"] == direct["iterations"]
             assert fused["rwr"]["converged"] == direct["converged"]
 
-    def test_metrics_terminal_matches_direct_metrics(self, clients, hot_leaf):
+    def test_metrics_terminal_matches_direct_metrics(self, all_clients, hot_leaf):
         leaf, _ = hot_leaf
-        for client in clients:
+        for client in all_clients:
             path = client.call("query.path", path=f"community({leaf.label})/metrics")
             direct = client.call("metrics", community=leaf.label)
             assert path["kind"] == "metrics"
             assert path["metrics"] == direct
 
-    def test_tree_level_query_folds_to_labels(self, clients, api_dataset):
+    def test_tree_level_query_folds_to_labels(self, all_clients, api_dataset):
         _, tree = api_dataset
         expected = sorted(node.label for node in tree.leaves())
-        for client in clients:
+        for client in all_clients:
             payload = client.call(
                 "query.path", path="leaves/nodes",
                 page={"limit": len(expected)},
@@ -118,7 +118,7 @@ class TestTransportAndBackendParity:
     def test_byte_identical_across_transports(
         self, all_clients, hot_leaf
     ):
-        local, remote, aio = all_clients
+        local, remote = all_clients
         leaf, members = hot_leaf
         args = {
             "path": f"community({leaf.label})/members/hops(1)/"
@@ -127,7 +127,7 @@ class TestTransportAndBackendParity:
         local.query("query.path", args=args).unwrap()  # warm
         raws = {
             client.query_raw("query.path", args=args)
-            for client in (local, remote, aio)
+            for client in (local, remote)
         }
         assert len(raws) == 1
 
@@ -270,15 +270,6 @@ class TestStructuredParseErrors:
         assert payload["error"]["details"]["source"] == self.BAD
         assert payload["error"]["details"]["span"] == [10, 11]
 
-    def test_parse_error_is_400_with_span_over_aio(self, aio_server):
-        status, payload = _post(
-            aio_server.url + "/v1/query",
-            {"op": "query.path", "args": {"path": self.BAD}},
-        )
-        assert status == 400
-        assert payload["error"]["code"] == "QUERY_PARSE_ERROR"
-        assert payload["error"]["details"]["span"] == [10, 11]
-
     def test_unknown_axis_is_never_a_500(self, http_server):
         status, payload = _post(
             http_server.url + "/v1/query",
@@ -315,8 +306,8 @@ class TestStructuredParseErrors:
         assert failure["code"] == "QUERY_PARSE_ERROR"
         assert failure["details"]["span"] == [10, 11]
 
-    def test_in_process_client_raises_typed_parse_error(self, clients):
-        for client in clients:
+    def test_in_process_client_raises_typed_parse_error(self, all_clients):
+        for client in all_clients:
             with pytest.raises(QueryParseError):
                 client.call("query.path", path=self.BAD)
             with pytest.raises(NavigationError):
@@ -333,9 +324,9 @@ class TestStructuredParseErrors:
 
 
 class TestPathStreaming:
-    def test_nodes_stream_reassembles(self, clients, hot_leaf):
+    def test_nodes_stream_reassembles(self, all_clients, hot_leaf):
         leaf, _ = hot_leaf
-        for client in clients:
+        for client in all_clients:
             args = {"path": f"community({leaf.label})/members/nodes"}
             merged = client.stream_result("query.path", args=args, chunk_size=4)
             one_shot = client.query(
@@ -343,10 +334,10 @@ class TestPathStreaming:
             ).unwrap()
             assert merged == one_shot
 
-    def test_scores_stream_reassembles(self, clients, hot_leaf):
+    def test_scores_stream_reassembles(self, all_clients, hot_leaf):
         leaf, members = hot_leaf
         sources = ", ".join(str(m) for m in members)
-        for client in clients:
+        for client in all_clients:
             args = {
                 "path": f"community({leaf.label})/members/"
                         f"rwr(sources=[{sources}])"

@@ -28,9 +28,9 @@ pytestmark = pytest.mark.tier1
 
 
 class TestSessionOpsViaQuery:
-    def test_full_lifecycle_through_the_query_route(self, clients, hot_leaf):
+    def test_full_lifecycle_through_the_query_route(self, all_clients, hot_leaf):
         leaf, _ = hot_leaf
-        for client in clients:
+        for client in all_clients:
             created = client.call(
                 "session.create", name="walker", focus=leaf.label
             )
@@ -60,8 +60,8 @@ class TestSessionOpsViaQuery:
             client.call("session.close",
                         session_id=revived["session"]["session_id"])
 
-    def test_describe_is_a_read_only_peek(self, clients):
-        local = clients[0]
+    def test_describe_is_a_read_only_peek(self, all_clients):
+        local = all_clients[0]
         sid = local.call("session.create", name="peeked")["session"]["session_id"]
         before = local.call("session.describe", session_id=sid)["session"]
         again = local.call("session.describe", session_id=sid)["session"]
@@ -70,14 +70,14 @@ class TestSessionOpsViaQuery:
             "touches"
         ] == before["touches"] + 1
 
-    def test_envelope_dataset_field_reaches_session_create(self, clients):
-        local = clients[0]
+    def test_envelope_dataset_field_reaches_session_create(self, all_clients):
+        local = all_clients[0]
         response = local.query("session.create", dataset="dblp",
                                args={"name": "routed"})
         assert response.unwrap()["session"]["dataset"] == "dblp"
 
-    def test_schema_validation_comes_from_the_registry(self, clients):
-        for client in clients:
+    def test_schema_validation_comes_from_the_registry(self, all_clients):
+        for client in all_clients:
             with pytest.raises(InvalidArgumentError, match="ttl"):
                 client.call("session.create", ttl="forever")
             with pytest.raises(InvalidArgumentError, match="requires argument"):
@@ -85,16 +85,16 @@ class TestSessionOpsViaQuery:
             with pytest.raises(InvalidArgumentError, match="unknown argument"):
                 client.call("session.resume", session_id="x", extra=1)
 
-    def test_step_errors_stay_structured(self, clients):
-        local = clients[0]
+    def test_step_errors_stay_structured(self, all_clients):
+        local = all_clients[0]
         sid = local.call("session.create", name="typo")["session"]["session_id"]
         with pytest.raises(NavigationError, match="unknown session action"):
             local.call("session.step", session_id=sid, action="teleport")
         with pytest.raises(NavigationError, match="missing argument"):
             local.call("session.step", session_id=sid, action="focus")
 
-    def test_unknown_and_expired_sessions_raise_typed_errors(self, clients):
-        for client in clients:
+    def test_unknown_and_expired_sessions_raise_typed_errors(self, all_clients):
+        for client in all_clients:
             with pytest.raises(SessionNotFoundError):
                 client.call("session.resume", session_id="never-issued")
             with pytest.raises(SessionNotFoundError):
@@ -102,8 +102,8 @@ class TestSessionOpsViaQuery:
 
 
 class TestSessionMiningVariants:
-    def test_focus_is_the_default_scope(self, clients, hot_leaf):
-        local = clients[0]
+    def test_focus_is_the_default_scope(self, all_clients, hot_leaf):
+        local = all_clients[0]
         leaf, members = hot_leaf
         sid = local.call("session.create", name="m", focus=leaf.label)[
             "session"
@@ -112,8 +112,8 @@ class TestSessionMiningVariants:
         direct = local.call("metrics", community=leaf.label)
         assert via_session == direct
 
-    def test_explicit_community_overrides_the_focus(self, clients, sibling_pair):
-        local = clients[0]
+    def test_explicit_community_overrides_the_focus(self, all_clients, sibling_pair):
+        local = all_clients[0]
         community_a, _ = sibling_pair
         sid = local.call("session.create", name="o")["session"]["session_id"]
         via_session = local.call(
@@ -184,9 +184,9 @@ class TestBatchSessionIsolation:
                 with pytest.raises(SessionExpiredError):
                     failed.unwrap()
 
-    def test_unknown_session_in_batch_is_not_found(self, clients, hot_leaf):
+    def test_unknown_session_in_batch_is_not_found(self, all_clients, hot_leaf):
         leaf, _ = hot_leaf
-        local = clients[0]
+        local = all_clients[0]
         replies = local.batch([
             {"op": "session.describe", "args": {"session_id": "ghost"}},
             {"op": "metrics", "args": {"community": leaf.label}},
@@ -196,12 +196,12 @@ class TestBatchSessionIsolation:
         assert replies[1].ok is True
 
     def test_identical_session_steps_in_one_batch_both_apply(
-        self, clients, hot_leaf
+        self, all_clients, hot_leaf
     ):
         # regression guard for the dedup seam: session ops have no stable
         # request identity, so the batch dedup must never collapse them
         leaf, _ = hot_leaf
-        local = clients[0]
+        local = all_clients[0]
         sid = local.call("session.create", name="twice", focus=leaf.label)[
             "session"
         ]["session_id"]

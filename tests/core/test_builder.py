@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.builder import GTreeBuildOptions, GTreeBuilder, build_gtree
+from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.graph.generators import connected_caveman, erdos_renyi
 from repro.partition.hierarchy import recursive_partition
 from repro.partition.kway import KWayOptions
@@ -78,6 +79,16 @@ class TestBuildGTree:
         assert [sorted(node.members, key=repr) for node in a.nodes()] == [
             sorted(node.members, key=repr) for node in b.nodes()
         ]
+
+    def test_same_seed_same_fingerprint(self):
+        # regression: the spectral bisection's eigsh start vector came from
+        # OS entropy, so at this size five of six builds disagreed
+        graph = generate_dblp(DBLPConfig(num_authors=500, seed=7)).graph
+        fingerprints = {
+            build_gtree(graph, fanout=4, levels=3, seed=7).fingerprint()
+            for _ in range(3)
+        }
+        assert len(fingerprints) == 1
 
     def test_small_graph_single_level(self):
         graph = erdos_renyi(8, 0.5, seed=54)

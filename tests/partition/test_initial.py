@@ -61,6 +61,17 @@ class TestSpectralBisection:
         graph.add_edge(0, 1)
         assert spectral_bisection(graph, unit_weights(graph)) is None
 
+    def test_same_graph_same_assignment(self):
+        # regression: eigsh without v0 starts from OS entropy, so the
+        # Fiedler vector's sign (hence which side is part 0) flipped from
+        # call to call — eight agreeing calls had odds of 1 in 128
+        graph = connected_caveman(4, 10, seed=3)
+        weights = unit_weights(graph)
+        first = spectral_bisection(graph, weights)
+        assert all(
+            spectral_bisection(graph, weights) == first for _ in range(7)
+        )
+
 
 class TestBestInitialBisection:
     def test_recovers_caveman_split(self):

@@ -2,7 +2,7 @@
 
 The chaos matrix at the bottom is the PR's acceptance gate: with a seeded
 20%-failure FaultPlan wired into the service, every response across all
-four execution backends and both HTTP front-ends must be a *typed*
+four execution backends and over HTTP must be a *typed*
 outcome — success, degraded stale serve, DEADLINE_EXCEEDED or OVERLOADED —
 never an unhandled 500.
 """
@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.api import FrontendPolicy, GMineClient, ProtocolRouter
-from repro.api.aio import GMineAsyncHTTPServer
 from repro.api.http import GMineHTTPServer, retry_after_of
 from repro.api.ops import DEFAULT_REGISTRY
 from repro.api.router import dumps
@@ -601,10 +600,8 @@ class TestHealthEndpoints:
 
 
 # --------------------------------------------------------------------- #
-# HTTP front-ends: shedding, health bypass, deadline envelopes
+# HTTP server: shedding, health bypass, deadline envelopes
 # --------------------------------------------------------------------- #
-SERVERS = [GMineHTTPServer, GMineAsyncHTTPServer]
-
 
 def _wait_until(predicate, timeout=5.0):
     limit = time.monotonic() + timeout
@@ -616,13 +613,11 @@ def _wait_until(predicate, timeout=5.0):
 
 
 class TestFrontendOverload:
-    @pytest.mark.parametrize("server_cls", SERVERS,
-                             ids=["threaded", "asyncio"])
     def test_sheds_with_503_and_retry_after_while_health_stays_up(
-        self, server_cls, service
+        self, service
     ):
         policy = FrontendPolicy(max_inflight=1)
-        with server_cls(service, port=0, policy=policy) as server:
+        with GMineHTTPServer(service, port=0, policy=policy) as server:
             holder = GMineClient.http(server.url)
             result = {}
 
@@ -653,16 +648,12 @@ class TestFrontendOverload:
             assert policy.shed >= 1
             assert result["sub"]["events"] == []
 
-    @pytest.mark.parametrize("server_cls", SERVERS,
-                             ids=["threaded", "asyncio"])
-    def test_retry_after_header_is_set_on_shed_responses(
-        self, server_cls, service
-    ):
+    def test_retry_after_header_is_set_on_shed_responses(self, service):
         import urllib.error
         import urllib.request
 
         policy = FrontendPolicy(max_inflight=1)
-        with server_cls(service, port=0, policy=policy) as server:
+        with GMineHTTPServer(service, port=0, policy=policy) as server:
             holder = GMineClient.http(server.url)
             thread = threading.Thread(
                 target=lambda: holder.subscribe(dataset="dblp", timeout=10.0),
@@ -938,10 +929,8 @@ class TestChaosMatrix:
         assert first == second
         assert any(first)
 
-    @pytest.mark.parametrize("server_cls", SERVERS,
-                             ids=["threaded", "asyncio"])
-    def test_http_frontends_never_emit_500_under_faults(
-        self, server_cls, service_dataset, store_path
+    def test_http_never_emits_500_under_faults(
+        self, service_dataset, store_path
     ):
         from tests.service.conftest import ManualClock
 
@@ -953,7 +942,7 @@ class TestChaosMatrix:
             fault_injector=plan,
         )
         queries = _chaos_queries(tree)
-        with svc, server_cls(svc, port=0) as server:
+        with svc, GMineHTTPServer(svc, port=0) as server:
             with GMineClient.http(server.url) as client:
                 primed = {}
                 for op, args in queries:
