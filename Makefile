@@ -8,7 +8,7 @@
 #   make test-slow   — only the slow tests
 #   make smoke       — run the concurrent multi-session service example
 #   make serve-smoke — start the gmine/1 HTTP server once per execution
-#                      backend (inline, thread, process), fire a mixed
+#                      backend (inline, process), fire a mixed
 #                      batch twice per backend, and assert cache-hit
 #                      accounting, transport parity AND cross-backend
 #                      byte-parity; then smoke the Protocol v2 surface —
@@ -27,13 +27,14 @@
 #                      (connection-per-request and keep-alive rows) and
 #                      the in-process transport, incl. streamed
 #                      full-vector rates; writes benchmarks/BENCH_http.json
-#   make bench-exec  — uncached RWR/metrics batches on the inline, thread
-#                      and process execution backends (speedup vs thread);
-#                      writes benchmarks/BENCH_exec.json
 #   make bench-kernels — prepared-vs-cold and blocked-vs-looped mining
-#                      kernel medians; writes benchmarks/BENCH_kernels.json
-#                      and FAILS if the prepared path is slower than cold
-#                      (the CI gate for the prepared-kernel layer)
+#                      kernel medians plus one-factorization blocked exact
+#                      RWR vs the per-set loop; writes
+#                      benchmarks/BENCH_kernels.json and FAILS if the
+#                      prepared path is slower than cold, if blocked exact
+#                      RWR diverges bitwise from the loop (checked before
+#                      any timing) or is below 2x it (the CI gate for the
+#                      prepared-kernel layer)
 #   make bench-mutate — incremental dataset.apply vs full-rebuild latency
 #                      plus warm-cache survival across a single-edge edit;
 #                      writes benchmarks/BENCH_mutate.json and FAILS if a
@@ -48,22 +49,14 @@
 #   make chaos       — the resilience/chaos suite: deadline propagation,
 #                      circuit-breaker trip/half-open/recovery, degraded
 #                      stale serving with byte parity, admission shedding
-#                      and the seeded 20%-failure fault matrix across all
-#                      four execution backends and the HTTP server
+#                      and the seeded 20%-failure fault matrix on the
+#                      inline and process backends and the HTTP server
 #   make bench-chaos — typed outcomes and bounded latency under a seeded
 #                      20%-failure FaultPlan plus overload shedding and
 #                      disabled-injector overhead; writes
 #                      benchmarks/BENCH_chaos.json and FAILS on any
 #                      untyped 500 or a p99 above the deadline budget
 #                      (the CI gate for the resilience layer)
-#   make bench-shm   — shared-memory prepared graphs: worker attach vs
-#                      rebuild (in real pool workers, with bit-parity
-#                      hashes and RSS deltas) and one-factorization
-#                      blocked exact RWR vs the per-set loop; writes
-#                      benchmarks/BENCH_shm.json and FAILS if attach is
-#                      below 5x rebuild, blocked exact below 2x looped,
-#                      or either path diverges bitwise (the CI gate for
-#                      the zero-copy prepared-graph layer)
 #   make bench-shard — sharded execution: byte parity of sharded vs inline
 #                      wire envelopes (rwr, scatter rwr, metrics, GPath)
 #                      gated BEFORE any timing counts, then a stream of
@@ -77,7 +70,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check tier1 smoke serve-smoke chaos bench-http bench-exec bench-kernels bench-mutate bench-path bench-shm bench-chaos bench-shard test-all test-slow
+.PHONY: check tier1 smoke serve-smoke chaos bench-http bench-kernels bench-mutate bench-path bench-chaos bench-shard test-all test-slow
 
 check: tier1 smoke serve-smoke
 	@echo "check: tier-1 tests, service smoke and HTTP serve-smoke passed"
@@ -89,13 +82,10 @@ smoke:
 	$(PYTHON) examples/concurrent_sessions.py
 
 serve-smoke:
-	$(PYTHON) examples/http_service.py inline thread process
+	$(PYTHON) examples/http_service.py inline process
 
 bench-http:
 	$(PYTHON) benchmarks/bench_http_throughput.py
-
-bench-exec:
-	$(PYTHON) benchmarks/bench_exec_backends.py
 
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernels.py
@@ -105,9 +95,6 @@ bench-mutate:
 
 bench-path:
 	$(PYTHON) benchmarks/bench_path.py
-
-bench-shm:
-	$(PYTHON) benchmarks/bench_shm.py
 
 chaos:
 	$(PYTHON) -m pytest -x -q tests/service/test_resilience.py

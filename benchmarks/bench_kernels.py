@@ -1,7 +1,7 @@
 """Prepared-kernel layer benchmark: cold conversions vs prepared reuse.
 
 Measures every mining hot path twice on the benchmark DBLP graph (900
-authors, seed 29 — the same graph the exec-backend benchmark drives):
+authors, seed 29):
 
 * **cold** — the pre-prepared-layer behaviour: each call re-derives the
   sparse matrices from the Python ``Graph`` (O(E) dict traversal) before
@@ -14,13 +14,20 @@ authors, seed 29 — the same graph the exec-backend benchmark drives):
 Reported per op: the median of ``REPEATS`` runs for each path and the
 speedup.  ``blocked_vs_looped`` isolates the blocking win alone (both
 sides warm).  The one-time preparation cost is reported honestly, as is
-``cpu_count`` — though unlike the process-pool benchmark these speedups
-are work *avoidance*, not parallelism, so they hold on a single core.
+``cpu_count`` — these speedups are work *avoidance*, not parallelism,
+so they hold on a single core.
+
+``exact_block`` gates the exact solver: ``per_source_rwr(solver="exact")``
+pays one LU factorization for k=8 source sets where the looped path
+factorizes per set.  Blocked and looped scores are compared bitwise
+before any timing runs; then the blocked path must be at least
+``EXACT_BLOCK_GATE``x faster.
 
 Exit status is the CI gate: non-zero when any warm median is slower than
-its cold median (beyond 10% timer noise) or when the acceptance criterion
+its cold median (beyond 10% timer noise), when the acceptance criterion
 — warm multi-source RWR (8 sources) at least 3x the pre-PR per-source
-path — fails.
+path — fails, or when blocked exact RWR diverges from the loop or falls
+below its gate.
 
 Emits ``BENCH_kernels.json`` next to this file.
 
@@ -59,6 +66,9 @@ MULTI_SOURCES = 8
 NOISE_TOLERANCE = 1.25
 #: Acceptance criterion: warm multi-source RWR vs the pre-PR path.
 MULTI_SOURCE_GATE = 3.0
+#: One-factorization blocked exact solve vs the per-set factorizing loop.
+EXACT_BLOCK_GATE = 2.0
+EXACT_BLOCK_REPEATS = 5
 
 
 def median_seconds(fn, repeats: int = REPEATS) -> float:
@@ -92,6 +102,18 @@ def main() -> int:
     prepared = PreparedGraph.from_graph(graph)
     prepared.transition  # build the view the walk kernels use
     prepare_seconds = time.perf_counter() - prepare_start
+
+    # Exact-solver parity first, bitwise, before anything is timed: the
+    # blocked path solves every source set through one shared factor.
+    failures = []
+    blocked_exact = per_source_rwr(graph, sources, solver="exact", prepared=prepared)
+    looped_exact = per_source_rwr(graph, sources, solver="exact", blocked=False)
+    exact_parity = all(
+        blocked_exact[source].scores == looped_exact[source].scores
+        for source in sources
+    )
+    if not exact_parity:
+        failures.append("blocked exact RWR diverges from the per-source loop")
 
     # Metrics is the paper's details-on-demand suite for a *focused
     # community*, so it is benched at community scale; on the full graph
@@ -151,7 +173,6 @@ def main() -> int:
         "ops": {},
     }
 
-    failures = []
     for name, cold, warm in rows:
         cold_median = median_seconds(cold)
         warm_median = median_seconds(warm)
@@ -206,6 +227,33 @@ def main() -> int:
               f"looped {warm_looped * 1e3:7.2f} ms | "
               f"blocked {warm_blocked * 1e3:7.2f} ms | {entry['speedup']:.2f}x")
     print(f"{'prepare (one-time)':>22}: {prepare_seconds * 1e3:8.2f} ms")
+
+    blocked_median = median_seconds(
+        lambda: per_source_rwr(graph, sources, solver="exact", prepared=prepared),
+        repeats=EXACT_BLOCK_REPEATS,
+    )
+    looped_median = median_seconds(
+        lambda: per_source_rwr(graph, sources, solver="exact", blocked=False),
+        repeats=EXACT_BLOCK_REPEATS,
+    )
+    exact_speedup = (
+        looped_median / blocked_median if blocked_median > 0 else float("inf")
+    )
+    report["exact_block"] = {
+        "sources": MULTI_SOURCES,
+        "blocked_median_seconds": round(blocked_median, 6),
+        "looped_median_seconds": round(looped_median, 6),
+        "speedup": round(exact_speedup, 2),
+        "required": EXACT_BLOCK_GATE,
+        "bit_parity": exact_parity,
+    }
+    print(f"{'blocked exact k=8':>22}: blocked {blocked_median * 1e3:8.3f} ms | "
+          f"looped {looped_median * 1e3:8.3f} ms | {exact_speedup:6.1f}x")
+    if exact_speedup < EXACT_BLOCK_GATE:
+        failures.append(
+            f"blocked exact RWR speedup {exact_speedup:.1f}x is below the "
+            f"{EXACT_BLOCK_GATE}x acceptance bar"
+        )
 
     multi = report["ops"]["rwr_multi_8src"]["speedup"]
     report["acceptance"] = {

@@ -2,7 +2,7 @@
 
 This is the ``make serve-smoke`` gate.  It builds a small DBLP dataset,
 persists it (store + graph file, so process workers can reopen it by
-path), then **once per execution backend** — inline, thread, process —
+path), then **once per execution backend** — inline, process —
 starts the GMine Protocol HTTP server on an ephemeral port, fires a
 batch of mixed queries twice (cold, then warm), and asserts
 
@@ -13,10 +13,9 @@ batch of mixed queries twice (cold, then warm), and asserts
 * session navigation works end to end over the wire,
 * failures (expired sessions, bad arguments) surface as typed,
   machine-readable error codes — never raw tracebacks, and
-* **all three backends produce byte-identical response payloads** — the
+* **every backend produces byte-identical response payloads** — the
   execution-engine-v2 guarantee that *where* a kernel runs (calling
-  thread, kernel pool, warm worker process) never changes *what* the
-  caller sees.
+  thread or warm worker process) never changes *what* the caller sees.
 
 After the per-backend loop it smokes the **Protocol v2 surface**: a
 streamed cursor query whose reassembly is byte-identical to the one-shot
@@ -39,7 +38,7 @@ through ``dataset.ingest`` by one client immediately answering another
 client's path queries.
 
 Run it:  ``PYTHONPATH=src python examples/http_service.py [backend ...]``
-(default: all of inline, thread, process).
+(default: inline and process).
 """
 
 import sys
@@ -61,9 +60,8 @@ from repro.graph.io import write_json
 from repro.service import GMineService
 from repro.storage.gtree_store import save_gtree
 
-#: Execution backends the per-backend smoke loop covers (auto is exercised
-#: separately in the Protocol v2 section: its choices are host-dependent).
-SMOKE_BACKENDS = ("inline", "thread", "process")
+#: Execution backends the per-backend smoke loop covers.
+SMOKE_BACKENDS = ("inline", "process")
 
 
 def build_dataset(workdir: Path):
@@ -178,19 +176,7 @@ def smoke_protocol_v2(tree, store_path, graph_path):
     hot = max(tree.leaves(), key=lambda node: node.size)
     args = {"sources": list(hot.members[:2]), "community": hot.label}
 
-    # The auto backend runs on the *measured* cost model here: persisted
-    # next to the smoke workdir, seeded from the repo's own benchmark
-    # artifacts exactly as `gmine serve --backend auto` seeds a fresh one.
-    cost_model_file = Path(store_path).parent / "smoke.cost.json"
-    with GMineService(
-        max_workers=4, backend="auto", cost_model_path=cost_model_file
-    ) as service:
-        bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
-        seeded = service.backend.cost_model.seed_from_bench(
-            str(bench_dir / "BENCH_exec.json"),
-            str(bench_dir / "BENCH_kernels.json"),
-        )
-        print(f"[v2] measured cost model: {seeded} bench-seeded estimates")
+    with GMineService(max_workers=4) as service:
         service.register_store(store_path, name="dblp", graph_path=graph_path)
         with GMineHTTPServer(service, port=0) as server:
             client = GMineClient.http(server.url)
@@ -243,20 +229,6 @@ def smoke_protocol_v2(tree, store_path, graph_path):
             client.call("session.close", session_id=sid)
             print(f"[v2] {len(session_ops)} session ops in the registry; "
                   f"session.rwr == rwr (shared cache hit)")
-
-            backend_stats = client.stats()["backend"]
-            assert backend_stats["name"] == "auto"
-            assert backend_stats["choices"], "auto must record its choices"
-            assert backend_stats["cost_model"], (
-                "the measured model must surface through /v1/stats"
-            )
-            assert backend_stats["decisions"], "every choice carries a basis"
-            for operation, basis in backend_stats["decisions"].items():
-                assert basis["rule"] in ("static", "measured"), basis
-                assert "venue" in basis and "static" in basis, basis
-            print(f"[v2] backend auto choices: {backend_stats['choices']}")
-            print(f"[v2] decision basis: "
-                  f"{ {op: b['rule'] for op, b in backend_stats['decisions'].items()} }")
 
         # ---------------------------------------------------------------- #
         # authed + rate-limited server: structured 401/429 envelopes

@@ -17,10 +17,11 @@ Execution engine v2 splits every expensive operation into two halves:
   step is applied — encoding never happens in a worker.
 
 :func:`run_plan` is the single execution path every backend uses: the
-inline and thread backends resolve the scope against the live dataset in
-the parent, the process backend resolves it against a store the worker
-pre-loaded by ``(path, fingerprint)``.  One code path, three venues —
-byte-identical results by construction.
+inline backend resolves the scope against the live dataset in the
+parent, the process backend against a store the worker pre-loaded by
+``(path, fingerprint)``, and a shard worker against its slice of the
+G-Tree.  One code path, three venues — byte-identical results by
+construction.
 
 The optional ``resolve_prepared`` hook supplies each venue's cached
 :class:`~repro.graph.matrix.PreparedGraph` — the parent resolves it off

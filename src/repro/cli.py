@@ -17,7 +17,7 @@ Subcommands mirror the workflow of the original demo:
   multi-session service, or with ``--http PORT`` expose the service as the
   GMine Protocol HTTP server (``--auth-token``/``--rate-limit``/
   ``--max-inflight`` for transport guard rails;
-  ``--backend auto`` to pick the execution venue per op),
+  ``--backend inline|process[:N]|sharded[:N]`` for the execution venue),
 * ``gmine session`` — create/resume serialisable exploration sessions
   (``gmine session create``, ``gmine session resume``).
 
@@ -443,47 +443,15 @@ def _summarise_result(result: QueryResult) -> dict:
     return summary
 
 
-def _seed_cost_model(service: GMineService) -> None:
-    """Prime an empty measured-cost model from checked-in benchmark reports.
-
-    A fresh ``--backend auto`` service has no latency observations yet, so
-    the first requests would fall back to the static venue rule.  When the
-    repo's ``benchmarks/BENCH_exec.json`` / ``BENCH_kernels.json`` are
-    reachable from the working directory, use them as priors; real
-    observations replace the seeds as traffic arrives.
-    """
-    from .service.executors import AutoBackend
-
-    backend = service.backend
-    if not isinstance(backend, AutoBackend):
-        return
-    model = backend.cost_model
-    if model is None or len(model) > 0:
-        return
-    bench_dir = Path("benchmarks")
-    exec_path = bench_dir / "BENCH_exec.json"
-    kernels_path = bench_dir / "BENCH_kernels.json"
-    if exec_path.exists() or kernels_path.exists():
-        model.seed_from_bench(
-            exec_path if exec_path.exists() else None,
-            kernels_path if kernels_path.exists() else None,
-        )
-        model.save()
-
-
 def _open_service(args: argparse.Namespace) -> GMineService:
     """Build a service over the store (and optional graph) named in ``args``."""
-    shm_mode = getattr(args, "shm", "auto")
     service = GMineService(
         cache_capacity=getattr(args, "cache_capacity", 512),
         cache_ttl=getattr(args, "cache_ttl", None),
         max_workers=getattr(args, "workers", 4),
         backend=getattr(args, "backend", None) or "inline",
         cache_path=getattr(args, "cache_path", None),
-        shared_prepared=None if shm_mode == "auto" else shm_mode == "on",
-        cost_model_path=getattr(args, "cost_model", None),
     )
-    _seed_cost_model(service)
     graph_path = getattr(args, "graph", None)
     graph = _load_graph(graph_path) if graph_path else None
     if getattr(args, "mutable", False):
@@ -516,9 +484,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 max_inflight=args.max_inflight,
             )
         # Route SIGTERM (docker stop, systemd) through the same graceful
-        # path as Ctrl-C: the service close below unlinks shared
-        # prepared-graph segments and persists the cost model, neither of
-        # which happens on an abrupt exit.
+        # path as Ctrl-C: the service close below shuts worker pools down
+        # and unlinks the sharded backend's segments, neither of which
+        # happens on an abrupt exit.
         import signal
 
         def _terminate(signum, frame):
@@ -864,11 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument(
         "--backend", default="inline",
-        metavar="{inline,thread,process,auto,sharded}[:N]",
+        metavar="{inline,process,sharded}[:N]",
         help="execution backend for expensive mining kernels "
-             "(process = warm multi-core worker pool; auto = pick per op from "
-             "cost class + cpu count; sharded = split each dataset along its "
-             "G-Tree communities over N single-shard worker processes; "
+             "(inline = the request thread; process = warm multi-core "
+             "worker pool; sharded = split each dataset along its G-Tree "
+             "communities over N single-shard worker processes; "
              "N overrides --workers)",
     )
     serve.add_argument(
@@ -878,18 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--cache-capacity", type=int, default=512, dest="cache_capacity")
     serve.add_argument("--cache-ttl", type=float, default=None, dest="cache_ttl")
-    serve.add_argument(
-        "--shm", choices=("auto", "on", "off"), default="auto",
-        help="publish prepared-graph CSR buffers into shared-memory segments "
-             "process workers attach zero-copy (auto = on for process/auto "
-             "backends where the platform supports it)",
-    )
-    serve.add_argument(
-        "--cost-model", default=None, dest="cost_model", metavar="FILE",
-        help="JSON file persisting the auto backend's measured per-(op, venue) "
-             "latency model; seeded from benchmarks/BENCH_*.json when new "
-             "(default: <cache-path>.cost.json, else in-memory)",
-    )
     serve.set_defaults(func=cmd_serve)
 
     session = subparsers.add_parser(

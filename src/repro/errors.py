@@ -189,9 +189,9 @@ class RateLimitedError(ServiceError):
 class DeadlineExceededError(ServiceError):
     """A request's deadline budget elapsed before (or during) compute.
 
-    Raised both by admission control (the cost model predicts the plan
-    cannot finish in budget) and by in-flight abandonment (the plan ran
-    past its deadline; the result is discarded).
+    Raised both by admission control (the budget was already spent at
+    dispatch) and by in-flight abandonment (the plan ran past its
+    deadline; the result is discarded).
     """
 
 

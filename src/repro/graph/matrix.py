@@ -360,16 +360,6 @@ class PreparedGraph:
         )
 
 
-def _release_view(view: "PreparedGraph") -> None:
-    """Release a dropped view's external resources, if it holds any."""
-    release = getattr(view, "release", None)
-    if release is not None:
-        try:
-            release()
-        except Exception:  # pragma: no cover - release must never propagate
-            pass
-
-
 class PreparedViewCache:
     """A bounded LRU of :class:`PreparedGraph` views keyed by fingerprint.
 
@@ -388,11 +378,9 @@ class PreparedViewCache:
     counters feed ``/v1/stats`` — they are how the acceptance test for
     prepared-view survival observes reuse across an edit.
 
-    Views that own external resources (shared-memory segments —
-    :class:`~repro.graph.shm.SharedPreparedGraph`) expose ``release()``;
-    the cache calls it whenever it drops a view (eviction, invalidation,
-    :meth:`clear`), which is what makes the registry the single owner of
-    segment lifecycle.
+    Dropping a view (eviction, invalidation, :meth:`clear`) only drops
+    the cache's reference: views are plain in-process arrays, so a kernel
+    still running on one keeps it alive until it returns.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -421,9 +409,8 @@ class PreparedViewCache:
             view = build()
             self.builds += 1
             while len(self._views) >= self.capacity:
-                _, evicted = self._views.popitem(last=False)
+                self._views.popitem(last=False)
                 self.evictions += 1
-                _release_view(evicted)
             self._views[fingerprint] = view
             return view
 
@@ -435,26 +422,17 @@ class PreparedViewCache:
     def invalidate(self, fingerprint: str) -> bool:
         """Drop the view for ``fingerprint``; ``True`` when one was held."""
         with self._lock:
-            view = self._views.pop(fingerprint, None)
-            if view is not None:
+            dropped = self._views.pop(fingerprint, None) is not None
+            if dropped:
                 self.invalidated += 1
-            dropped = view is not None
-        if view is not None:
-            _release_view(view)
         return dropped
 
     def clear(self) -> int:
-        """Drop (and release) every view; returns how many were held.
-
-        Called at registry drain / service close so shared segments are
-        unlinked deterministically rather than waiting on finalizers.
-        """
+        """Drop every view; returns how many were held (registry drain)."""
         with self._lock:
-            views = list(self._views.values())
+            held = len(self._views)
             self._views.clear()
-        for view in views:
-            _release_view(view)
-        return len(views)
+        return held
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,42 +1,38 @@
-"""Zero-copy shared-memory residency for :class:`~repro.graph.matrix.PreparedGraph`.
+"""Shared-memory CSR segments for worker processes.
 
-The process backend's warm workers used to rebuild the CSR adjacency and
-transition matrices from the adjacency dicts at warm time — an O(E)
-conversion paid once *per worker per dataset*.  This module moves the
-numeric buffers of a prepared graph into one
-:mod:`multiprocessing.shared_memory` segment published by the parent:
+:class:`SharedMatrixSegment` is what the sharded backend uses: the
+parent copies each shard's row slice of the transition matrix
+(``W[rows_s, :]``) into one :mod:`multiprocessing.shared_memory`
+segment, pickles only a small manifest (segment name plus
+dtype/shape/offset rows) into the warm task, and the shard worker maps
+the same bytes with ``np.ndarray`` + ``csr_matrix`` views, zero-copy.
 
-* :meth:`SharedPreparedGraph.publish` copies the CSR ``indptr``/
-  ``indices``/``data`` triples (adjacency and transition), the degree
-  vector and the pickled vertex order into a single segment, once, and
-  returns a prepared graph whose arrays are *views over that segment* —
-  the parent itself holds no second copy;
-* the instance pickles as a :class:`SharedGraphManifest` — segment name
-  plus dtype/shape/offset rows — so shipping it to a worker costs a few
-  hundred bytes;
-* :meth:`SharedPreparedGraph.attach` maps the segment in the worker and
-  wraps the same bytes with ``np.ndarray`` + ``csr_matrix`` views,
-  zero-copy (only the small pickled vertex-id list is materialised).
+Lifetime rule: **nobody computes on a mapping that another party may
+close.**  ``SharedMemory.close()`` unmaps the pages even while NumPy
+views over them are still referenced (a view holds the memoryview, not
+a buffer export, so no ``BufferError`` stops it), and a kernel still
+reading them crashes.  So the publisher keeps its own private copy of
+every matrix and never computes on its views; a shard worker reads its
+attachment only inside its own single-task pool, and the release that
+closes it is itself a task queued behind any running one.
 
-Lifecycle is owned by the publishing process: the registry unlinks a
-segment when the prepared view retires (eviction, invalidation, service
-shutdown), and a ``weakref.finalize`` guard unlinks it even if the owner
-is dropped without an explicit release.  Attaching processes only ever
-``close()`` their mapping — on POSIX an unlinked segment stays alive
-until the last attachment closes, so retiring a view never tears buffers
-out from under an in-flight worker kernel.  Attachments stay registered
-with the ``resource_tracker``: pool workers share the publisher's
-tracker process, so the creation-time entry doubles as the crash net —
-if the whole process family dies without a graceful release (SIGTERM,
-SIGKILL), the tracker unlinks the segment at shutdown instead of leaking
-it in ``/dev/shm``.  (Re-registering an already-tracked name is a no-op;
-an attacher-side *unregister* — the usual bug-38119 workaround — would
-erase the publisher's entry from the shared tracker and defeat exactly
-that net.  Only same-family processes ever attach here: manifests travel
-solely inside pickled exec specs to pool workers.)
+The publisher owns unlink; attachments only close; a
+``weakref.finalize`` guard unlinks a segment whose owner is dropped
+without an explicit release.  Attachments stay registered with the
+``resource_tracker``: pool workers share the publisher's tracker
+process, so the creation-time entry doubles as the crash net — if the
+whole process family dies without a graceful release (SIGTERM,
+SIGKILL), the tracker unlinks the segment at shutdown instead of
+leaking it in ``/dev/shm``.  (An attacher-side *unregister* — the usual
+bug-38119 workaround — would erase the publisher's entry from the
+shared tracker and defeat exactly that net.)
 
 Every view is marked read-only; a kernel that tried to mutate a shared
 buffer would raise instead of corrupting every other process's matrices.
+
+:class:`SharedPreparedGraph` publishes a whole
+:class:`~repro.graph.matrix.PreparedGraph` the same way.  The service no
+longer uses it (see its docstring).
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import pickle
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -67,7 +63,7 @@ SEGMENT_ALIGNMENT = 64
 
 
 def shared_memory_available() -> bool:
-    """Whether this platform can publish shared prepared graphs."""
+    """Whether this platform can publish shared-memory segments."""
     return _shared_memory is not None
 
 
@@ -77,16 +73,14 @@ def _align(offset: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# cross-cutting counters (surfaced through /v1/stats and the bench gates)
+# per-process segment counters
 # --------------------------------------------------------------------------- #
 class _ShmCounters:
     """Per-process counters for segment lifecycle accounting.
 
-    The parent's numbers (prepares, segment bytes, unlinks) prove the
-    registry's lifecycle discipline; a worker's ``attaches`` counter —
-    collected through the process backend's warm results — proves the
-    zero-copy path actually served, which is exactly what the bench gate
-    asserts.
+    The publisher's numbers (prepares, segment bytes, unlinks) show every
+    segment it created was retired; an attaching process counts its
+    attaches, detaches and failed attaches.
     """
 
     def __init__(self) -> None:
@@ -158,8 +152,7 @@ class SharedGraphManifest:
     """Everything a process needs to attach a published prepared graph.
 
     Entirely picklable — names, dtypes, offsets — never buffers.  This is
-    what :class:`SharedPreparedGraph` pickles as, and what
-    :class:`~repro.service.executors.DatasetExecSpec` carries to workers.
+    what :class:`SharedPreparedGraph` pickles as.
     """
 
     segment: str
@@ -249,11 +242,10 @@ def _release_segment(shm, owner: bool, nbytes: int, state: Dict[str, bool]) -> N
             logger.warning("failed to unlink shared segment %s", shm.name,
                            exc_info=True)
     try:
+        # Unmaps the pages even if views over them are still referenced
+        # (see the module docstring for why nobody reads them by then).
         shm.close()
-    except BufferError:
-        # Arrays over this mapping are still referenced somewhere; the
-        # mapping lives until they die.  Unlinking above already removed
-        # the name, so nothing leaks — this close is best-effort.
+    except BufferError:  # pragma: no cover - a live buffer export
         pass
     if not owner:
         SHM_STATS.detached()
@@ -262,11 +254,19 @@ def _release_segment(shm, owner: bool, nbytes: int, state: Dict[str, bool]) -> N
 class SharedPreparedGraph(PreparedGraph):
     """A :class:`PreparedGraph` whose numeric buffers live in shared memory.
 
+    **No caller in the package.**  The service used to publish every
+    widest-scope preparation through this class and compute on the
+    segment in the parent, which let an edit or reload unmap pages a
+    running kernel was reading; the parent and every worker now compute
+    on a private :class:`PreparedGraph`.  The class stays only because
+    the frozen ``benchmarks/e2e/layers.py`` imports it for its
+    ``graph.shm.publish_ms`` / ``graph.shm.attach_ms`` probes; the next
+    benchmark refresh deletes those probes and this class with them.
+
     Construction goes through :meth:`publish` (copy buffers into a fresh
     segment; this process owns its lifetime) or :meth:`attach` (map an
     existing segment zero-copy).  Pickling an instance serialises only the
-    manifest: the receiving process re-attaches instead of copying —
-    which is the whole point.
+    manifest.
     """
 
     def __init__(
@@ -479,11 +479,10 @@ class SharedPreparedGraph(PreparedGraph):
     def release(self) -> None:
         """Retire the segment: unlink (owner) / close (attachment).
 
-        Idempotent.  Called by the prepared-view cache on eviction and
-        invalidation and by the registry at drain; attached processes call
-        it when a warm dataset context is replaced.  Unlinking never tears
-        a live attachment — POSIX keeps the memory until the last mapping
-        closes.
+        Idempotent.  Unlinking never tears another process's attachment —
+        POSIX keeps the memory until the last mapping closes — but closing
+        unmaps this process's views, so call it only once nothing here
+        computes on them.
         """
         self._finalizer()
 
@@ -500,13 +499,6 @@ class SharedPreparedGraph(PreparedGraph):
             f"{len(self.index)} vertices, {self.adjacency.nnz} stored entries, "
             f"{self.manifest.total_bytes} bytes>"
         )
-
-
-def manifest_of(view: Any) -> Optional[SharedGraphManifest]:
-    """The manifest of a live (unreleased) shared view, else ``None``."""
-    if isinstance(view, SharedPreparedGraph) and not view.released:
-        return view.manifest
-    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -528,9 +520,9 @@ class SharedMatrixSegment:
     The sharded backend publishes each shard's row slice of the parent
     transition matrix (``W[rows_s, :]``) through one of these, so shard
     workers attach their matvec operand zero-copy instead of unpickling
-    an O(nnz) payload per warm.  Same lifecycle discipline as
-    :class:`SharedPreparedGraph`: the publisher owns unlink, attachments
-    only close, and a ``weakref.finalize`` guard backstops both.
+    an O(nnz) payload per warm.  The publisher owns unlink, attachments
+    only close, and a ``weakref.finalize`` guard backstops both (see the
+    module docstring for who may compute on which mapping).
     """
 
     def __init__(self, matrix: sparse.csr_matrix, manifest: SharedMatrixManifest,

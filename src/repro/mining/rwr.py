@@ -480,7 +480,7 @@ def rwr_exact_block(
     solves through the shared factor are **bit-identical** to the
     per-set :func:`rwr_exact` loop this replaces (hypothesis-gated in
     ``tests/mining/test_exact_block.py`` and re-checked by the
-    ``bench_shm`` gate before its timings count).
+    ``bench_kernels`` gate before its timings count).
     """
     _validate_restart(restart_probability)
     if not source_sets:

@@ -26,19 +26,16 @@ from .cache import (
     make_cache_key,
 )
 from .cache import StaleServe
-from .costmodel import CostModel
 from .datasets import DatasetHandle, DatasetRegistry
 from .faults import SEAMS, FaultPlan, FaultRule
 from .resilience import CircuitBreaker, Deadline, RetryPolicy
 from .executors import (
     BACKEND_NAMES,
-    AutoBackend,
     DatasetExecSpec,
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
     StaleDatasetError,
-    ThreadBackend,
     make_backend,
 )
 from .service import (
@@ -51,12 +48,10 @@ from .service import (
 from .sessions import DEFAULT_SESSION_TTL, ServiceSession, SessionManager
 
 __all__ = [
-    "AutoBackend",
     "BACKEND_NAMES",
     "CacheStats",
     "CacheStore",
     "CircuitBreaker",
-    "CostModel",
     "Deadline",
     "FaultPlan",
     "FaultRule",
@@ -81,7 +76,6 @@ __all__ = [
     "ServiceSession",
     "StaleDatasetError",
     "SessionManager",
-    "ThreadBackend",
     "canonical_args",
     "make_backend",
     "make_cache_key",

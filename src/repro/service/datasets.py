@@ -26,7 +26,6 @@ of the service proper gives the lifecycle a seam of its own:
 
 from __future__ import annotations
 
-import logging
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,11 +40,8 @@ from ..errors import DatasetNotFoundError, DatasetReadOnlyError, ServiceError
 from ..graph.graph import Graph
 from ..graph.io import load_graph_auto
 from ..graph.matrix import PreparedGraph, PreparedViewCache
-from ..graph.shm import manifest_of, shared_memory_available
 from ..storage.gtree_store import GTreeStore
 from .executors import DatasetExecSpec
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DATASET = "default"
 
@@ -164,11 +160,6 @@ class DatasetHandle:
     prepared_cell: _PreparedCell = field(
         default_factory=_PreparedCell, repr=False, compare=False
     )
-    #: Publish the widest-scope preparation into a shared-memory segment
-    #: so process workers attach it zero-copy.  Set by the registry
-    #: (:class:`DatasetRegistry` ``share_prepared``); only meaningful for
-    #: datasets served with a full graph.
-    share_prepared: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.context is None:
@@ -216,38 +207,20 @@ class DatasetHandle:
         :class:`PreparedViewCache`, the view is keyed by the Merkle root
         there (so an unchanged dataset re-registered under a new handle —
         a no-op reload — reuses it); otherwise the per-handle cell serves.
+        The preparation is private to this process: process and shard
+        workers build their own, so dropping a view on edit or reload can
+        never pull arrays out from under a running kernel.
         """
         if self.graph is None:
             return None
         if self.prepared_views is not None:
             return self.prepared_views.get(
-                self.fingerprint, self._build_widest_prepared
+                self.fingerprint,
+                lambda: PreparedGraph.from_graph(
+                    self.graph, fingerprint=self.fingerprint
+                ),
             )
         return self.prepared_cell.get(self.graph, self.fingerprint)
-
-    def _build_widest_prepared(self) -> PreparedGraph:
-        """Build (and, when sharing, publish) the widest-scope preparation.
-
-        Publishing moves the buffers into a shared segment the handle's
-        :meth:`exec_spec` advertises to process workers; the parent's own
-        kernels keep using the same instance (its arrays are views over
-        the segment, bit-identical by construction).  Any publish failure
-        degrades to a plain in-process preparation — sharing is a fast
-        path, never a correctness dependency.
-        """
-        prepared = PreparedGraph.from_graph(self.graph, fingerprint=self.fingerprint)
-        if self.share_prepared:
-            from ..graph.shm import SharedPreparedGraph
-
-            try:
-                return SharedPreparedGraph.publish(prepared)
-            except Exception:
-                logger.warning(
-                    "failed to publish shared prepared graph for %s; "
-                    "serving in-process",
-                    self.name, exc_info=True,
-                )
-        return prepared
 
     def community_prepared(
         self, scope: Any, subgraph: Any
@@ -293,23 +266,13 @@ class DatasetHandle:
         return "store" if self.store is not None else "tree"
 
     def exec_spec(self) -> DatasetExecSpec:
-        """Flatten to the picklable spec process workers reopen datasets by.
-
-        When the widest-scope preparation has been published to shared
-        memory, the spec carries its manifest so workers attach the
-        segment instead of rebuilding the CSR.  ``peek`` (never ``get``):
-        flattening a spec must not trigger an O(E) preparation build.
-        """
-        manifest = None
-        if self.share_prepared and self.prepared_views is not None:
-            manifest = manifest_of(self.prepared_views.peek(self.fingerprint))
+        """Flatten to the picklable spec process workers reopen datasets by."""
         return DatasetExecSpec(
             name=self.name,
             fingerprint=self.fingerprint,
             store_path=self.store_path,
             graph_path=self.graph_path,
             has_graph=self.graph is not None,
-            prepared_manifest=manifest,
         )
 
     def make_engine(self, metrics_fn: Optional[Callable] = None) -> GMineEngine:
@@ -354,13 +317,7 @@ class DatasetHandle:
 class DatasetRegistry:
     """Thread-safe name -> :class:`DatasetHandle` table with hot-reload."""
 
-    def __init__(
-        self, prepared_capacity: int = 64, share_prepared: bool = False
-    ) -> None:
-        #: Publish widest-scope preparations into shared-memory segments
-        #: (process workers attach them zero-copy).  Forced off where the
-        #: platform has no POSIX shared memory.
-        self.share_prepared = bool(share_prepared) and shared_memory_available()
+    def __init__(self, prepared_capacity: int = 64) -> None:
         self._lock = threading.RLock()
         self._handles: Dict[str, DatasetHandle] = {}
         # Stores superseded by reload.  They stay open — sessions and
@@ -391,7 +348,6 @@ class DatasetRegistry:
             name=name, tree=tree, graph=graph, store=None,
             fingerprint=tree.fingerprint(),
             prepared_views=self.prepared_views,
-            share_prepared=self.share_prepared,
         )
         return self._register(handle)
 
@@ -422,7 +378,6 @@ class DatasetRegistry:
                 fingerprint=store.fingerprint, owns_store=owns,
                 graph_path=None if graph_path is None else str(graph_path),
                 prepared_views=self.prepared_views,
-                share_prepared=self.share_prepared,
             )
             return self._register(handle)
         except Exception:
@@ -516,7 +471,6 @@ class DatasetRegistry:
                     owns_store=True,
                     graph_path=handle.graph_path,
                     prepared_views=self.prepared_views,
-                    share_prepared=handle.share_prepared,
                 )
             else:
                 replacement = DatasetHandle(
@@ -528,7 +482,6 @@ class DatasetRegistry:
                     graph_path=handle.graph_path,
                     context=handle.context,
                     prepared_views=self.prepared_views,
-                    share_prepared=handle.share_prepared,
                 )
             with self._lock:
                 if self._handles.get(handle.name) is not handle:
@@ -633,7 +586,6 @@ class DatasetRegistry:
                 graph_path=None,
                 partition_fingerprints=new_parts,
                 prepared_views=self.prepared_views,
-                share_prepared=handle.share_prepared,
             )
             changed = fingerprint != previous
             with self._lock:
@@ -674,9 +626,7 @@ class DatasetRegistry:
     def drain(self) -> List[DatasetHandle]:
         """Detach and return every handle; closes retired stores (shutdown).
 
-        Also clears the shared prepared-view cache, which unlinks every
-        shared-memory segment this registry published — the deterministic
-        end of segment lifecycle (finalizers only back-stop crashes).
+        Also clears the shared prepared-view cache.
         """
         with self._lock:
             handles = list(self._handles.values())

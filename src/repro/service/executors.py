@@ -1,23 +1,23 @@
 """Pluggable execution backends: *where* a compute plan runs.
 
 The GMine service funnels every expensive kernel (RWR power iteration,
-metric suites, connection subgraphs) through one of three backends:
+metric suites, connection subgraphs) through one of three venues:
 
 * :class:`InlineBackend` — the plan runs on the calling thread.  Zero
   overhead; throughput is whatever the caller's own concurrency delivers
   (under the GIL, roughly one core).
-* :class:`ThreadBackend` — plans run on a dedicated kernel thread pool,
-  bounding how many kernels execute at once independently of how many
-  requests are in flight.  Same GIL ceiling as inline, but the kernel
-  concurrency knob is explicit.
 * :class:`ProcessBackend` — plans are pickled to a pool of **warm worker
   processes** that pre-load each dataset's :class:`~repro.storage.gtree_store.GTreeStore`
   by ``(path, fingerprint)`` and keep it open across tasks, so only the
   first task per dataset pays the open cost.  This is the backend that
   scales CPU-bound mining with cores: each worker owns its own
-  interpreter, its own GIL, and its own buffer pool.
+  interpreter, its own GIL, its own buffer pool and its own private
+  :class:`~repro.graph.matrix.PreparedGraph`, built at warm time from
+  the graph file it parses.
+* :class:`~repro.shard.backend.ShardedBackend` (``sharded[:N]``) — one
+  single-worker pool per G-Tree shard; see :mod:`repro.shard.backend`.
 
-All three execute the *same* :class:`~repro.api.plans.ComputePlan` through
+All of them execute the *same* :class:`~repro.api.plans.ComputePlan` through
 :func:`~repro.api.plans.run_plan`; a backend never sees a service or an
 engine, only a plan plus a :class:`DatasetExecSpec` describing how a worker
 may rematerialise the dataset.  Results come back as the rich mining
@@ -32,11 +32,9 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import os
 import threading
 import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -44,13 +42,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..api.plans import ComputePlan, prepared_applies, run_plan
 from ..errors import DeadlineExceededError, ServiceError, WorkerDeadlineCancelled
-from ..graph.shm import SharedGraphManifest, shm_stats
 from .resilience import CircuitBreaker, Deadline
 
 logger = logging.getLogger(__name__)
 
 #: Backend names accepted by :func:`make_backend` / ``gmine serve --backend``.
-BACKEND_NAMES = ("inline", "thread", "process", "auto", "sharded")
+BACKEND_NAMES = ("inline", "process", "sharded")
 
 #: Default worker count for pooled backends.
 DEFAULT_BACKEND_WORKERS = 4
@@ -83,14 +80,6 @@ class DatasetExecSpec:
     store_path: Optional[str] = None
     graph_path: Optional[str] = None
     has_graph: bool = False
-    #: Shared-memory manifest of the parent's published
-    #: :class:`~repro.graph.shm.SharedPreparedGraph` for this fingerprint,
-    #: when one exists.  A worker that receives it attaches the segment
-    #: zero-copy instead of rebuilding the CSR from the adjacency dicts;
-    #: a worker that cannot attach (segment retired, exotic platform)
-    #: rebuilds cold — the manifest is a fast path, never a correctness
-    #: dependency.
-    prepared_manifest: Optional[SharedGraphManifest] = None
 
     @property
     def process_capable(self) -> bool:
@@ -226,55 +215,6 @@ class InlineBackend(ExecutionBackend):
         return value
 
 
-class ThreadBackend(ExecutionBackend):
-    """Run plans on a dedicated kernel thread pool (GIL-bound)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int = DEFAULT_BACKEND_WORKERS) -> None:
-        super().__init__()
-        if workers < 1:
-            raise ServiceError(f"thread backend needs >= 1 worker, got {workers}")
-        self.workers = workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="gmine-kernel"
-                )
-            return self._pool
-
-    def run(self, spec, plan, local, deadline=None):
-        self._admit(deadline)
-        self._count(executed=1)
-        future = self._ensure_pool().submit(local)
-        try:
-            value = future.result(
-                timeout=None if deadline is None else max(0.0, deadline.remaining())
-            )
-        except FuturesTimeoutError:
-            # Abandon: the worker thread keeps running (daemonic pool, GIL
-            # shared anyway) but its result is discarded and the caller is
-            # unblocked with the typed deadline failure.
-            self._abandon(deadline)
-        self._finish(deadline)
-        return value
-
-    def close(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def stats(self) -> Dict[str, Any]:
-        payload = super().stats()
-        payload["workers"] = self.workers
-        return payload
-
-
 # --------------------------------------------------------------------------- #
 # process backend: warm workers keyed by (store path, fingerprint)
 # --------------------------------------------------------------------------- #
@@ -295,56 +235,24 @@ class _WorkerPrepared:
     hot-reloaded dataset is re-prepared exactly once per worker.
 
     Workers execute one task at a time, so no lock is needed — which also
-    keeps the context it lives on simple.
+    keeps the context it lives on simple.  The preparation is private to
+    the worker: nothing outside this process holds or retires its arrays.
     """
 
-    def __init__(
-        self,
-        graph,
-        fingerprint: str,
-        manifest: Optional[SharedGraphManifest] = None,
-    ) -> None:
+    def __init__(self, graph, fingerprint: str) -> None:
         self._graph = graph
         self._fingerprint = fingerprint
-        self._manifest = manifest
         self._prepared = None
 
     def prepare(self) -> None:
-        """Materialise the prepared view now (called by the warm task).
-
-        Preference order: attach the parent's shared segment (zero-copy,
-        O(1) in edges), else rebuild from the graph exactly as before.  An
-        attach failure — the parent retired the segment between pickling
-        the spec and this task running — falls back to the rebuild, so the
-        manifest can never make a worker wrong, only fast.
-        """
+        """Materialise the prepared view now (called by the warm task)."""
         if self._graph is None or self._prepared is not None:
             return
-        if self._manifest is not None:
-            from ..graph.shm import SHM_STATS, SharedPreparedGraph
-
-            try:
-                self._prepared = SharedPreparedGraph.attach(self._manifest)
-                return
-            except Exception as error:
-                SHM_STATS.fallback()
-                logger.warning(
-                    "shared prepared attach failed for %s (%s); rebuilding",
-                    self._fingerprint[:12], error,
-                )
-                self._manifest = None
         from ..graph.matrix import PreparedGraph
 
         self._prepared = PreparedGraph.from_graph(
             self._graph, fingerprint=self._fingerprint
         )
-
-    def close(self) -> None:
-        """Detach the shared segment when this slot's context retires."""
-        prepared, self._prepared = self._prepared, None
-        release = getattr(prepared, "release", None)
-        if release is not None:
-            release()
 
     def __call__(self, scope, subgraph):
         if not prepared_applies(scope, subgraph, self._graph):
@@ -388,9 +296,7 @@ def _worker_context(spec: DatasetExecSpec):
         graph = load_graph_auto(spec.graph_path) if spec.graph_path else None
         context = OpContext(
             engine=GMineEngine(tree=store.tree, graph=graph, store=store),
-            prepared_provider=_WorkerPrepared(
-                graph, spec.fingerprint, manifest=spec.prepared_manifest
-            ),
+            prepared_provider=_WorkerPrepared(graph, spec.fingerprint),
         )
     except Exception:
         store.close()
@@ -401,31 +307,18 @@ def _worker_context(spec: DatasetExecSpec):
     if cached is not None:
         del _WORKER_DATASETS[key]
         cached[1].engine.store.close()
-        retiring = getattr(cached[1], "prepared_provider", None)
-        if retiring is not None and hasattr(retiring, "close"):
-            retiring.close()
     _WORKER_DATASETS[key] = (spec.fingerprint, context)
     return context
 
 
-def _process_warm(spec: DatasetExecSpec) -> Dict[str, Any]:
-    """Pre-load one dataset in this worker; returns a warm report.
+def _process_warm(spec: DatasetExecSpec) -> None:
+    """Pre-load one dataset in this worker.
 
-    Warming opens the store *and* materialises the dataset's prepared
-    view — by shared-segment attach when the spec carries a manifest,
-    by the O(E) rebuild otherwise — so the first real plan pays neither
-    the file open nor the matrix conversion.  The report carries this
-    worker's shared-memory counters back to the parent, which aggregates
-    them per pid: that is how ``/v1/stats`` (and the bench gate) can
-    assert the zero-copy path actually served.
+    Warming opens the store *and* builds the dataset's prepared view from
+    the graph file the context just parsed, so the first real plan pays
+    neither the file open nor the matrix conversion.
     """
-    context = _worker_context(spec)
-    context.prepared_provider.prepare()
-    return {
-        "fingerprint": context.engine.store.fingerprint,
-        "pid": os.getpid(),
-        "shm": shm_stats(),
-    }
+    _worker_context(spec).prepared_provider.prepare()
 
 
 def _log_warm_failure(future) -> None:
@@ -530,10 +423,6 @@ class ProcessBackend(ExecutionBackend):
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         self._warmed: List[DatasetExecSpec] = []
-        #: Latest shared-memory counters reported by each worker pid (the
-        #: warm tasks carry them back) — proof in ``/v1/stats`` that
-        #: workers attached segments instead of rebuilding.
-        self._worker_shm: Dict[int, Dict[str, int]] = {}
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
@@ -557,8 +446,8 @@ class ProcessBackend(ExecutionBackend):
             return
         with self._pool_lock:
             if spec in self._warmed:
-                # Identical spec (same paths, fingerprint and manifest)
-                # already warmed: the workers hold it, and re-submitting
+                # Identical spec (same paths and fingerprint) already
+                # warmed: the workers hold it, and re-submitting
                 # another N warm futures is pure pool churn.
                 return
             self._warmed = [
@@ -567,7 +456,7 @@ class ProcessBackend(ExecutionBackend):
             self._warmed.append(spec)
         pool = self._ensure_pool()
         for _ in range(self.workers):
-            pool.submit(_process_warm, spec).add_done_callback(self._warm_done)
+            pool.submit(_process_warm, spec).add_done_callback(_log_warm_failure)
 
     def _note_worker_cancelled(self, future) -> None:
         """Done callback: tally tasks the worker itself cancelled as overdue."""
@@ -579,17 +468,6 @@ class ProcessBackend(ExecutionBackend):
             return
         if isinstance(error, WorkerDeadlineCancelled):
             self._count(deadline_worker_cancelled=1)
-
-    def _warm_done(self, future) -> None:
-        """Collect a warm report (or log the failure) off the pool thread."""
-        _log_warm_failure(future)
-        try:
-            report = future.result()
-        except BaseException:
-            return
-        if isinstance(report, dict) and "pid" in report:
-            with self._stats_lock:
-                self._worker_shm[report["pid"]] = report.get("shm", {})
 
     def run(self, spec, plan, local, deadline=None):
         self._admit(deadline)
@@ -689,203 +567,17 @@ class ProcessBackend(ExecutionBackend):
             payload["breaker"] = self.breaker.describe()
         with self._stats_lock:
             payload["breaker_skips"] = self._breaker_skips
-            reports = dict(self._worker_shm)
-        payload["worker_shm"] = {
-            "workers_reporting": len(reports),
-            "attaches": sum(r.get("attaches", 0) for r in reports.values()),
-            "attach_fallbacks": sum(
-                r.get("attach_fallbacks", 0) for r in reports.values()
-            ),
-        }
         return payload
-
-
-class AutoBackend(ExecutionBackend):
-    """Pick the venue per plan — measured cost when available, static rule else.
-
-    ``gmine serve --backend auto`` stops making the operator choose: the
-    service already keeps **cheap** ops in the parent (the cost class
-    declared on each :class:`~repro.api.registry.OpSpec` — they never
-    reach any backend).  For the expensive plannable plans that do arrive
-    here, the **static rule** is the baseline:
-
-    * ``inline`` on a single-core host — pools cannot beat the GIL there,
-      so pool overhead is pure loss;
-    * ``process`` when the host has cores to scale across *and* the
-      dataset is process-capable (reopenable by path+fingerprint);
-    * ``thread`` otherwise — bounded kernel concurrency for datasets the
-      workers cannot rematerialise.
-
-    With a :class:`~repro.service.costmodel.CostModel` attached (``gmine
-    serve --backend auto`` wires one next to the cache DB, seeded from
-    ``BENCH_exec``/``BENCH_kernels``), each decision instead takes the
-    eligible venue with the lowest *measured* EWMA latency for that
-    operation — but the static choice is only ever displaced by a venue
-    whose measurement is strictly better than the static choice's own, so
-    the model can never pick a venue its measurements say is worse than
-    the static rule's pick.  Observed ``run`` latencies feed back into
-    the model, which persists across restarts.
-
-    Every decision is recorded per operation and surfaced through
-    ``/v1/stats`` (``backend.choices`` counters plus the latest
-    ``decisions`` basis and the model table itself), together with the
-    honest ``cpu_count`` it was based on and the delegate pools' own
-    counters.
-    """
-
-    name = "auto"
-
-    def __init__(
-        self,
-        workers: int = DEFAULT_BACKEND_WORKERS,
-        cpu_count: Optional[int] = None,
-        cost_model=None,
-    ) -> None:
-        super().__init__()
-        if workers < 1:
-            raise ServiceError(f"auto backend needs >= 1 worker, got {workers}")
-        self.workers = workers
-        self.cpu_count = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-        self.cost_model = cost_model
-        self._thread = ThreadBackend(workers=workers)
-        self._process = (
-            ProcessBackend(workers=min(workers, self.cpu_count))
-            if self.cpu_count >= 2
-            else None
-        )
-        self._choice_lock = threading.Lock()
-        self._choices: Counter = Counter()
-        #: operation -> latest decision basis (what ``/v1/stats`` shows).
-        self._decisions: Dict[str, Dict[str, Any]] = {}
-
-    def _static_choice(self, spec: DatasetExecSpec) -> str:
-        """The declared-cost-class rule the model must never lose to."""
-        if self.cpu_count < 2:
-            return "inline"
-        if self._process is not None and spec.process_capable:
-            return "process"
-        return "thread"
-
-    def _eligible(self, spec: DatasetExecSpec) -> List[str]:
-        venues = ["inline", "thread"]
-        if self._process is not None and spec.process_capable:
-            venues.append("process")
-        return venues
-
-    def _venue_penalties(self) -> Optional[Dict[str, float]]:
-        """Cost multipliers for venues whose circuit breaker is not closed.
-
-        Reads the breaker's ``state`` property — a non-consuming peek, so
-        routing decisions never eat the half-open probe slots the process
-        backend itself needs to recover.
-        """
-        if self._process is None or self._process.breaker is None:
-            return None
-        state = self._process.breaker.state
-        if state == "closed":
-            return None
-        from .costmodel import BREAKER_HALF_OPEN_PENALTY, BREAKER_OPEN_PENALTY
-
-        factor = (
-            BREAKER_OPEN_PENALTY if state == "open" else BREAKER_HALF_OPEN_PENALTY
-        )
-        return {"process": factor}
-
-    def _choose(self, spec: DatasetExecSpec, operation: str) -> Tuple[str, Dict[str, Any]]:
-        static = self._static_choice(spec)
-        if self.cost_model is None:
-            return static, {"rule": "static", "static": static}
-        return self.cost_model.choose(
-            operation, self._eligible(spec), static,
-            penalties=self._venue_penalties(),
-        )
-
-    def run(self, spec, plan, local, deadline=None):
-        self._admit(deadline)
-        choice, basis = self._choose(spec, plan.operation)
-        if deadline is not None and self.cost_model is not None:
-            # Admission control: the measured EWMA latency for this venue
-            # is the best estimate of what the plan will cost.  A plan
-            # predicted to blow the budget is rejected *before* compute —
-            # the client learns in microseconds, not after the deadline.
-            predicted = self.cost_model.predict(plan.operation, choice)
-            if predicted is not None and predicted > deadline.remaining():
-                self._count(deadline_rejected=1)
-                raise DeadlineExceededError(
-                    f"{plan.operation} predicted to take {predicted * 1000:.1f}ms "
-                    f"on {choice!r} but only {max(0.0, deadline.remaining()) * 1000:.1f}ms "
-                    "of budget remains"
-                )
-        with self._choice_lock:
-            self._choices[f"{plan.operation}:{choice}"] += 1
-            self._decisions[plan.operation] = dict(basis, venue=choice)
-        started = time.perf_counter()
-        if choice == "process":
-            value = self._process.run(spec, plan, local, deadline=deadline)
-        elif choice == "thread":
-            value = self._thread.run(spec, plan, local, deadline=deadline)
-        else:
-            self._count(executed=1)
-            value = local()
-            self._finish(deadline)
-        if self.cost_model is not None:
-            # Only successful completions reach here; abandoned/rejected
-            # runs raise above, so timeout waits never poison the model.
-            self.cost_model.observe(
-                plan.operation, choice, time.perf_counter() - started
-            )
-        return value
-
-    def warm(self, spec: DatasetExecSpec, handle: Any = None) -> None:
-        if self._process is not None:
-            self._process.warm(spec)
-
-    def close(self) -> None:
-        self._thread.close()
-        if self._process is not None:
-            self._process.close()
-        if self.cost_model is not None:
-            self.cost_model.close()
-
-    def stats(self) -> Dict[str, Any]:
-        """Aggregated counters + the per-op choice ledger (``/v1/stats``)."""
-        own = super().stats()
-        delegates = {"thread": self._thread.stats()}
-        if self._process is not None:
-            delegates["process"] = self._process.stats()
-        with self._choice_lock:
-            choices = dict(sorted(self._choices.items()))
-            decisions = {op: dict(basis) for op, basis in self._decisions.items()}
-        for counter in ("executed", "shipped", "fallbacks", "errors"):
-            own[counter] += sum(stats[counter] for stats in delegates.values())
-        for counter in ("rejected", "abandoned", "worker_cancelled"):
-            own["deadline"][counter] += sum(
-                stats["deadline"][counter] for stats in delegates.values()
-            )
-        own["name"] = self.name
-        own["workers"] = self.workers
-        own["cpu_count"] = self.cpu_count
-        own["choices"] = choices
-        own["decisions"] = decisions
-        own["cost_model"] = (
-            self.cost_model.describe() if self.cost_model is not None else None
-        )
-        own["delegates"] = delegates
-        return own
 
 
 def make_backend(
     backend: Union[str, ExecutionBackend, None],
     workers: int = DEFAULT_BACKEND_WORKERS,
-    cost_model=None,
 ) -> ExecutionBackend:
     """Resolve a backend selector: an instance, ``None``, or ``"name[:N]"``.
 
-    ``"thread:8"`` / ``"process:2"`` / ``"sharded:4"`` override the
-    worker/shard count inline — handy for the CLI, benchmarks, and
-    Makefile one-liners.  ``cost_model`` applies to ``auto`` (venue
-    choice) and ``sharded`` (per-shard venue latency estimates); the
-    other backends have no decision to feed.
+    ``"process:2"`` / ``"sharded:4"`` override the worker/shard count
+    inline — handy for the CLI, benchmarks, and Makefile one-liners.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -901,18 +593,14 @@ def make_backend(
             ) from None
     if name == "inline":
         return InlineBackend()
-    if name == "thread":
-        return ThreadBackend(workers=workers)
     if name == "process":
         return ProcessBackend(workers=workers)
-    if name == "auto":
-        return AutoBackend(workers=workers, cost_model=cost_model)
     if name == "sharded":
         # Imported lazily: the shard subsystem imports this module for the
         # backend base class, so a top-level import would be circular.
         from ..shard.backend import ShardedBackend
 
-        return ShardedBackend(shards=workers, cost_model=cost_model)
+        return ShardedBackend(shards=workers)
     raise ServiceError(
         f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"
     )

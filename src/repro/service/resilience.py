@@ -37,7 +37,7 @@ class Deadline:
 
     Immutable after construction; sharable across threads.  ``remaining()``
     is in seconds (may be negative once past due) so it can feed directly
-    into ``future.result(timeout=...)`` and cost-model comparisons.
+    into ``future.result(timeout=...)``.
     """
 
     __slots__ = ("budget_ms", "expires_at", "_clock")

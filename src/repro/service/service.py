@@ -19,9 +19,10 @@ machinery into a multi-session query service:
 * every **expensive** op compiles to a pure, picklable
   :class:`~repro.api.plans.ComputePlan` and runs on the configured
   :class:`~repro.service.executors.ExecutionBackend` —
-  ``backend="inline"`` (calling thread), ``"thread"`` (kernel thread
-  pool), or ``"process"`` (warm worker processes that pre-load stores by
-  path+fingerprint and scale CPU-bound mining with cores).  Cheap ops
+  ``backend="inline"`` (calling thread), ``"process"`` (warm worker
+  processes that pre-load stores by path+fingerprint and scale CPU-bound
+  mining with cores) or ``"sharded"`` (one worker per G-Tree shard).
+  Every venue computes on its own private prepared matrices.  Cheap ops
   always run in the parent; encoding always happens in the parent,
 * results are memoised in a thread-safe :class:`~repro.service.cache.ResultCache`
   keyed by ``(tree fingerprint, operation, spec-ordered canonical args)``;
@@ -54,11 +55,9 @@ from ..core.session import ExplorationSession
 from ..errors import GMineError, InvalidArgumentError, ServiceError
 from ..graph.graph import Graph
 from ..graph.io import load_graph_auto
-from ..graph.shm import shm_stats
 from ..mining.rwr import RWRResult, refresh_rwr
 from ..storage.gtree_store import GTreeStore, save_gtree
 from .cache import ResultCache, SQLiteCacheStore, StaleServe
-from .costmodel import CostModel
 from .datasets import DEFAULT_DATASET, DatasetHandle, DatasetRegistry
 from .executors import ExecutionBackend, make_backend
 from .feeds import ChangeFeed
@@ -175,26 +174,18 @@ class GMineService:
         execute is declared there — there is no other dispatch path.
     backend:
         Where expensive compute plans run: ``"inline"`` (default; the
-        calling thread), ``"thread"``/``"thread:N"``, ``"process"``/
-        ``"process:N"``, or a pre-built
+        calling thread), ``"process"``/``"process:N"``,
+        ``"sharded"``/``"sharded:N"``, or a pre-built
         :class:`~repro.service.executors.ExecutionBackend` instance.
     cache_path:
         Optional SQLite file for the result cache.  Entries persist across
         restarts and are shared by every process pointing at the same file
         (keys carry the tree fingerprint, so a rebuilt dataset never serves
         stale answers).
-    shared_prepared:
-        Publish widest-scope :class:`~repro.graph.matrix.PreparedGraph`
-        buffers into shared-memory segments process workers attach
-        zero-copy.  Defaults to on for the ``process`` and ``auto``
-        backends (the only ones with workers to share with), off
-        otherwise; forced off where the platform lacks shared memory.
-    cost_model_path:
-        JSON file persisting the ``auto`` backend's measured per-(op,
-        venue) latency model.  Defaults to ``<cache_path>.cost.json``
-        when a cache path is set (the "small table next to the cache
-        DB"); with neither, the model is in-memory only for backend
-        strings of ``auto`` and absent otherwise.
+    fault_injector:
+        Optional :class:`~repro.service.faults.FaultPlan` wired into the
+        cache, worker and store seams (chaos testing; zero cost when
+        absent).
     """
 
     def __init__(
@@ -207,8 +198,6 @@ class GMineService:
         registry: Optional[OperationRegistry] = None,
         backend: Union[str, ExecutionBackend, None] = "inline",
         cache_path: Optional[Union[str, Path]] = None,
-        shared_prepared: Optional[bool] = None,
-        cost_model_path: Optional[Union[str, Path]] = None,
         fault_injector: Optional[Any] = None,
     ) -> None:
         import time
@@ -229,26 +218,10 @@ class GMineService:
             store=store,
             injector=fault_injector,
         )
-        backend_name = (
-            backend.name if isinstance(backend, ExecutionBackend)
-            else str(backend or "inline").partition(":")[0]
-        )
-        cost_model = None
-        if backend_name in ("auto", "sharded") and not isinstance(
-            backend, ExecutionBackend
-        ):
-            path = cost_model_path
-            if path is None and cache_path is not None:
-                path = f"{cache_path}.cost.json"
-            cost_model = CostModel(path=None if path is None else str(path))
-        self.backend = make_backend(
-            backend, workers=max_workers, cost_model=cost_model
-        )
+        self.backend = make_backend(backend, workers=max_workers)
         self.sessions = SessionManager(default_ttl=session_ttl, clock=clock)
         self.max_workers = max_workers
-        if shared_prepared is None:
-            shared_prepared = backend_name in ("process", "auto", "sharded")
-        self.registry_of_datasets = DatasetRegistry(share_prepared=shared_prepared)
+        self.registry_of_datasets = DatasetRegistry()
         self._lock = threading.RLock()
         self._compute_counts: Counter = Counter()
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -308,15 +281,7 @@ class GMineService:
         return handle.name
 
     def _warm_backend(self, handle: DatasetHandle) -> None:
-        """Warm the backend for ``handle`` — publishing the prepared view first.
-
-        With sharing on, the widest-scope preparation is built (and its
-        buffers published to a shared segment) *before* the spec is
-        flattened, so the warm tasks carry the segment manifest and the
-        workers attach zero-copy instead of rebuilding the CSR.
-        """
-        if self.registry_of_datasets.share_prepared and handle.graph is not None:
-            handle.prepared_graph()
+        """Hint the backend that ``handle`` is now served (workers pre-load)."""
         self.backend.warm(handle.exec_spec(), handle)
 
     def register_store(
@@ -977,10 +942,6 @@ class GMineService:
             "datasets": self.datasets(),
             "dataset_info": self.describe_datasets(),
             "prepared_views": self.registry_of_datasets.prepared_views.describe(),
-            "prepared_shared": dict(
-                shm_stats(),
-                enabled=self.registry_of_datasets.share_prepared,
-            ),
             "feeds": feeds,
         }
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -122,13 +121,11 @@ class ShardedBackend(ExecutionBackend):
         shards: int = DEFAULT_BACKEND_WORKERS,
         mp_context=None,
         breaker: Any = "default",
-        cost_model=None,
     ) -> None:
         super().__init__()
         if shards < 1:
             raise ServiceError(f"sharded backend needs >= 1 shard, got {shards}")
         self.shards = shards
-        self.cost_model = cost_model
         if breaker == "default":
             breaker = CircuitBreaker(
                 name="shard-pools", failure_threshold=3, reset_timeout=10.0
@@ -358,21 +355,14 @@ class ShardedBackend(ExecutionBackend):
         with self._datasets_lock:
             state = self._datasets.get(spec.fingerprint)
         kind, shard_id = self._route(state, plan)
-        started = time.perf_counter()
         if kind == "route":
-            value = self._run_routed(state, shard_id, plan, local, deadline)
-        elif kind == "scatter":
-            value = self._run_scatter(state, plan, local, deadline)
-        else:
-            self._routes["parent"] += 1
-            self._count(executed=1)
-            value = local()
-            self._finish(deadline)
-        if self.cost_model is not None:
-            venue = f"sharded:{kind}" if shard_id is None else f"shard:{shard_id}"
-            self.cost_model.observe(
-                plan.operation, venue, time.perf_counter() - started
-            )
+            return self._run_routed(state, shard_id, plan, local, deadline)
+        if kind == "scatter":
+            return self._run_scatter(state, plan, local, deadline)
+        self._routes["parent"] += 1
+        self._count(executed=1)
+        value = local()
+        self._finish(deadline)
         return value
 
     def _run_routed(self, state, shard_id, plan, local, deadline):
@@ -555,8 +545,6 @@ class ShardedBackend(ExecutionBackend):
             pools, self._pools = dict(self._pools), {}
         for pool in pools.values():
             pool.shutdown(wait=True)
-        if self.cost_model is not None:
-            self.cost_model.close()
 
     def stats(self) -> Dict[str, Any]:
         payload = super().stats()
@@ -587,8 +575,6 @@ class ShardedBackend(ExecutionBackend):
             }
         if self.breaker is not None:
             payload["breaker"] = self.breaker.describe()
-        if self.cost_model is not None:
-            payload["cost_model"] = self.cost_model.describe()
         return payload
 
 

@@ -4,9 +4,9 @@ The satellite acceptance for Protocol v2 streaming:
 
 * a hypothesis sweep proving cursor pages reassemble **byte-identically**
   to the one-shot payload for arbitrary chunk sizes and page specs;
-* the same guarantee across the in-process and HTTP transports on all
-  three execution backends (the store is served with ``graph_path`` so
-  the process pool genuinely ships plans);
+* the same guarantee across the in-process and HTTP transports on the
+  inline and process backends (the store is served with ``graph_path``
+  so the process pool genuinely ships plans);
 * mid-stream hot-reload behaviour: chunks already flowing on a connection
   stay consistent (they slice one precomputed payload), while *resuming*
   a cursor after a content-changing reload fails with the structured
@@ -40,7 +40,7 @@ from repro.storage.gtree_store import save_gtree
 pytestmark = pytest.mark.tier1
 
 #: Execution backends the streaming parity bar covers.
-STREAM_BACKENDS = ("inline", "thread:2", "process:2")
+STREAM_BACKENDS = ("inline", "process:2")
 
 
 @pytest.fixture(scope="module")

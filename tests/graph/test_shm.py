@@ -4,7 +4,9 @@ The contract under test: ``publish`` moves a prepared graph's numeric
 buffers into one shared segment without changing a single bit of them;
 ``attach`` maps the same bytes zero-copy; pickling round-trips through
 the manifest alone; and the owner's ``release`` provably unlinks the
-segment — no ``/dev/shm`` residue, ever.
+segment — no ``/dev/shm`` residue, ever.  The service no longer
+publishes prepared graphs; :class:`PreparedViewCache` therefore only
+drops its reference to a view and never releases it.
 """
 
 import glob
@@ -23,7 +25,6 @@ from repro.graph import (
 )
 from repro.graph.generators import barabasi_albert, connected_caveman
 from repro.graph.matrix import PreparedGraph, PreparedViewCache
-from repro.graph.shm import manifest_of
 from repro.mining.rwr import rwr_power_iteration
 
 pytestmark = [
@@ -148,14 +149,6 @@ class TestManifestPickling:
         finally:
             shared.release()
 
-    def test_manifest_of_reports_live_shared_views_only(self, prepared):
-        _, plain = prepared
-        assert manifest_of(plain) is None
-        shared = SharedPreparedGraph.publish(plain)
-        assert manifest_of(shared) == shared.manifest
-        shared.release()
-        assert manifest_of(shared) is None
-
 
 class TestLifecycle:
     def test_release_unlinks_and_is_idempotent(self, prepared):
@@ -201,25 +194,41 @@ class TestLifecycle:
         assert shm_stats()["unlinks"] == before + 1
 
 
-class TestPreparedViewCacheRelease:
-    def test_eviction_releases_shared_views(self, prepared):
-        _, plain = prepared
+class TestPreparedViewCacheNeverReleases:
+    """Dropping a view from the cache must leave a kernel that still holds
+    it computing on live memory — the cache owns references, not mappings."""
+
+    def test_eviction_leaves_views_usable(self, prepared):
+        graph, plain = prepared
+        sources = sorted(graph.nodes(), key=repr)[:2]
+        baseline = rwr_power_iteration(graph, sources, prepared=plain)
         cache = PreparedViewCache(capacity=1)
         shared = SharedPreparedGraph.publish(plain)
-        cache.get("fp-one", lambda: shared)
-        cache.get("fp-two", lambda: PreparedGraph.from_graph(
-            connected_caveman(3, 4, seed=2)
-        ))
-        assert shared.released  # evicted -> released
-        assert cache.describe()["evictions"] == 1
+        try:
+            held = cache.get("fp-one", lambda: shared)
+            cache.get("fp-two", lambda: PreparedGraph.from_graph(
+                connected_caveman(3, 4, seed=2)
+            ))
+            assert cache.describe()["evictions"] == 1
+            assert not shared.released
+            result = rwr_power_iteration(graph, sources, prepared=held)
+            assert result.scores == baseline.scores
+        finally:
+            shared.release()
 
-    def test_invalidate_and_clear_release(self, prepared):
+    def test_invalidate_and_clear_leave_views_usable(self, prepared):
         _, plain = prepared
         cache = PreparedViewCache(capacity=4)
         first = SharedPreparedGraph.publish(plain)
         second = SharedPreparedGraph.publish(plain)
-        cache.get("fp-one", lambda: first)
-        cache.get("fp-two", lambda: second)
-        assert cache.invalidate("fp-one") and first.released
-        assert cache.clear() == 1 and second.released
-        assert len(cache) == 0
+        try:
+            cache.get("fp-one", lambda: first)
+            cache.get("fp-two", lambda: second)
+            assert cache.invalidate("fp-one") and not first.released
+            assert cache.clear() == 1 and not second.released
+            assert len(cache) == 0
+            assert np.array_equal(first.adjacency.data, plain.adjacency.data)
+            assert np.array_equal(second.transition.data, plain.transition.data)
+        finally:
+            first.release()
+            second.release()

@@ -1,7 +1,7 @@
 """Execution backend tests: plans, venues, parity, fallbacks, cost classes.
 
 The contract under test is the heart of execution engine v2: every backend
-— inline, thread, process — executes the *same* picklable
+— inline, process, sharded — executes the *same* picklable
 :class:`~repro.api.plans.ComputePlan` through the same kernels, so the
 encoded protocol payloads are byte-identical whichever venue computed them.
 """
@@ -19,7 +19,6 @@ from repro.service import (
     GMineService,
     InlineBackend,
     ProcessBackend,
-    ThreadBackend,
     make_backend,
 )
 
@@ -70,25 +69,17 @@ class TestComputePlans:
 class TestMakeBackend:
     def test_names_resolve(self):
         assert isinstance(make_backend("inline"), InlineBackend)
-        assert isinstance(make_backend("thread"), ThreadBackend)
         assert isinstance(make_backend("process"), ProcessBackend)
         assert isinstance(make_backend(None), InlineBackend)
-        from repro.service import AutoBackend
-
-        auto = make_backend("auto")
-        assert isinstance(auto, AutoBackend)
-        auto.close()
         from repro.shard import ShardedBackend
 
         sharded = make_backend("sharded:2")
         assert isinstance(sharded, ShardedBackend)
         sharded.close()
-        assert set(BACKEND_NAMES) == {
-            "inline", "thread", "process", "auto", "sharded"
-        }
+        assert BACKEND_NAMES == ("inline", "process", "sharded")
 
     def test_worker_count_suffix(self):
-        backend = make_backend("thread:7")
+        backend = make_backend("process:7")
         assert backend.workers == 7
         backend = make_backend("process:2", workers=9)
         assert backend.workers == 2
@@ -98,12 +89,13 @@ class TestMakeBackend:
         assert make_backend(backend) is backend
 
     def test_bad_selectors_raise(self):
+        for retired in ("gpu", "thread", "thread:2", "auto", "auto:2"):
+            with pytest.raises(ServiceError):
+                make_backend(retired)
         with pytest.raises(ServiceError):
-            make_backend("gpu")
+            make_backend("process:lots")
         with pytest.raises(ServiceError):
-            make_backend("thread:lots")
-        with pytest.raises(ServiceError):
-            ThreadBackend(workers=0)
+            ProcessBackend(workers=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -136,12 +128,10 @@ def parity_payloads(service_dataset, store_path):
 
 class TestBackendParity:
     def test_all_backends_byte_identical(self, parity_payloads):
-        assert (
-            parity_payloads["inline"]
-            == parity_payloads["thread"]
-            == parity_payloads["process"]
-            == parity_payloads["auto"]
-        )
+        # sharded is left out: on this store-only dataset (no full graph)
+        # its shard workers cannot materialise communities; the shard
+        # parity suites cover it on datasets served with their graph.
+        assert parity_payloads["inline"] == parity_payloads["process"]
 
     def test_process_backend_actually_shipped(self, parity_payloads):
         stats = parity_payloads["process__stats"]

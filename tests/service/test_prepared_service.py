@@ -3,17 +3,24 @@
 Covers the plumbing the mining-level parity suite cannot: the
 :class:`DatasetHandle` caches one ``PreparedGraph`` per fingerprint and
 reuses it across queries, hot-reload swaps it out with the handle, process
-workers prepare at warm time, and — the acceptance bar — response payloads
-are byte-identical across inline/thread/process backends whether the
-prepared cache was cold or hot.
+workers prepare at warm time, every venue computes on a private
+preparation (never on shared memory another thread may unmap), and — the
+acceptance bar — response payloads are byte-identical across every
+backend whether the prepared cache was cold or hot.
 """
 
-import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import GMineClient
 from repro.graph.io import write_json
+from repro.graph.matrix import PreparedGraph
+from repro.graph.shm import SharedPreparedGraph
 from repro.service import BACKEND_NAMES, GMineService
 from repro.storage.gtree_store import save_gtree
 
@@ -209,6 +216,9 @@ class TestPreparedByteParity:
             assert fingerprint == spec.fingerprint
             provider = context.prepared_provider
             assert provider._prepared is not None, "warm task must prepare"
+            assert type(provider._prepared) is PreparedGraph, (
+                "a worker computes on its own preparation, not an attachment"
+            )
             prepared = provider(None, context.engine.graph)
             assert prepared is provider._prepared
             assert provider("some-community", context.engine.graph) is None
@@ -231,3 +241,71 @@ class TestPreparedByteParity:
             cached = _WORKER_DATASETS.pop((spec.store_path, spec.graph_path), None)
             if cached is not None:
                 cached[1].engine.store.close()
+
+
+#: A reader thread loops widest-scope power RWR while the main thread
+#: applies one-edge edits and reloads.  Run in a subprocess: when the
+#: parent computed on shared-memory views, an edit unmapped the pages
+#: under the running matvec and this died of SIGSEGV (or read torn bytes).
+READER_VS_EDITS = """\
+import threading
+from repro.api import dumps, encode_result
+from repro.core.builder import build_gtree
+from repro.data.dblp import DBLPConfig, generate_dblp
+from repro.service import GMineService
+graph = generate_dblp(DBLPConfig(num_authors=400, seed=5)).graph
+tree = build_gtree(graph, fanout=3, levels=2, seed=5)
+u, v, w = next(iter(graph.edges()))
+edits = [[{"action": "add_edge", "u": u, "v": v, "weight": w + d}] for d in (1.0, 0.0)]
+sources = [sorted(graph.nodes(), key=repr)[i:i + 2] for i in (0, 2)]
+def rwr(service, sources):
+    return dumps(encode_result(service.registry.get("rwr"), service.call("rwr", sources=sources))[0])
+def read(service, seen, stop):
+    while not stop.is_set():
+        seen.append(rwr(service, sources[len(seen) % 2]))
+with GMineService(backend="inline") as reference:
+    reference.register_tree(tree, graph=graph)
+    expected = {rwr(reference, s) for s in sources}
+    reference.apply_dataset(None, edits[0])
+    expected |= {rwr(reference, s) for s in sources}
+seen, stop = [], threading.Event()
+with GMineService(backend="process:2", cache_capacity=1) as service:
+    service.register_tree(tree, graph=graph)
+    reader = threading.Thread(target=read, args=(service, seen, stop))
+    reader.start()
+    for step in range(40):  # one-edge edits and reloads under the running reader
+        service.apply_dataset(None, edits[step % 2])
+        service.reload_dataset(None)
+    stop.set(), reader.join()
+assert seen and set(seen) <= expected, "an answer matches neither content version"
+"""
+
+
+class TestPrivatePreparation:
+    def test_process_backend_parent_keeps_a_plain_prepared_graph(
+        self, service_dataset, dataset_files
+    ):
+        dataset, _ = service_dataset
+        store_file, graph_file = dataset_files
+        with GMineService(backend="process:2") as service:
+            service.register_store(
+                store_file, graph=dataset.graph, name="dblp",
+                graph_path=graph_file,
+            )
+            prepared = service.registry_of_datasets.get("dblp").prepared_graph()
+            assert type(prepared) is PreparedGraph
+            assert not isinstance(prepared, SharedPreparedGraph)
+
+    def test_edits_and_reloads_never_tear_a_running_kernel(self, tmp_path):
+        assert len(READER_VS_EDITS.splitlines()) <= 30
+        script = tmp_path / "reader_vs_edits.py"
+        script.write_text(READER_VS_EDITS, encoding="utf-8")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        completed = subprocess.run(
+            [sys.executable, str(script)], cwd=tmp_path, capture_output=True,
+            text=True, timeout=300, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert completed.returncode == 0, (
+            f"reproducer exited {completed.returncode} (-11 is SIGSEGV):\n"
+            f"{completed.stderr[-2000:]}"
+        )

@@ -1,11 +1,11 @@
-"""ShardedBackend behaviour: routing, chaos recovery, deadlines, breaker feedback.
+"""ShardedBackend behaviour: routing, chaos recovery, deadlines, breaker.
 
 The parity suite proves a sharded answer is the unsharded answer; this
 file proves the *dispatch* claims — a single-community request touches
 exactly one shard, a killed worker degrades to a correct parent answer
 (never a torn merge) and the pool heals, overdue work cancelled inside a
-worker is counted, and an open circuit breaker inflates the cost model's
-view of the broken venue so routing flows around it.
+worker is counted, and an open circuit breaker sends routing to the
+parent.
 """
 
 import os
@@ -20,8 +20,6 @@ from repro.core.builder import build_gtree
 from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.errors import WorkerDeadlineCancelled
 from repro.service import GMineService
-from repro.service.costmodel import BREAKER_OPEN_PENALTY, CostModel
-from repro.service.executors import make_backend
 from repro.shard import ShardedBackend
 
 pytestmark = pytest.mark.tier1
@@ -181,34 +179,6 @@ class TestDeadlines:
 
 
 class TestBreakerFeedback:
-    def test_penalty_steers_the_cost_model_away(self):
-        model = CostModel()
-        model.observe("rwr", "process", 0.001)
-        model.observe("rwr", "inline", 0.002)
-        venue, basis = model.choose("rwr", ["inline", "process"], "process")
-        assert venue == "process"
-        venue, basis = model.choose(
-            "rwr", ["inline", "process"], "process",
-            penalties={"process": BREAKER_OPEN_PENALTY},
-        )
-        assert venue == "inline"
-        assert basis["penalties"] == {"process": BREAKER_OPEN_PENALTY}
-
-    def test_auto_backend_penalises_an_open_process_breaker(self):
-        backend = make_backend("auto", cost_model=CostModel())
-        try:
-            if backend._process is None or backend._process.breaker is None:
-                pytest.skip("auto backend built without a process delegate")
-            breaker = backend._process.breaker
-            assert backend._venue_penalties() is None
-            while breaker.state != "open":
-                breaker.record_failure()
-            assert backend._venue_penalties() == {
-                "process": BREAKER_OPEN_PENALTY
-            }
-        finally:
-            backend.close()
-
     def test_sharded_backend_breaker_short_circuits_to_parent(self, data):
         graph, tree = data
         with GMineService(backend="sharded:2") as service:

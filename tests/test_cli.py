@@ -143,7 +143,7 @@ class TestServeBackends:
         )
         return graph_path, store_path, requests_path
 
-    @pytest.mark.parametrize("backend", ["inline", "thread:2", "process:2"])
+    @pytest.mark.parametrize("backend", ["inline", "process:2", "sharded:2"])
     def test_serve_batch_on_each_backend(self, built_store, capsys, backend):
         graph_path, store_path, requests_path = built_store
         code, payload, _ = run_cli(
@@ -182,6 +182,25 @@ class TestServeBackends:
         )
         assert code == 2
         assert "unknown execution backend" in err
+
+    @pytest.mark.parametrize("backend", ["thread", "auto:2"])
+    def test_serve_rejects_retired_backends(self, built_store, capsys, backend):
+        _, store_path, requests_path = built_store
+        code, _, err = run_cli(
+            capsys, "serve", "--store", str(store_path),
+            "--requests", str(requests_path), "--backend", backend,
+        )
+        assert code == 2
+        assert "unknown execution backend" in err
+
+    @pytest.mark.parametrize("flag", [["--shm", "on"], ["--cost-model", "c.json"]])
+    def test_serve_rejects_retired_flags(self, built_store, capsys, flag):
+        _, store_path, requests_path = built_store
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--store", str(store_path),
+                  "--requests", str(requests_path), *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestPathCommand:
