@@ -23,9 +23,9 @@
 #                      in-process parity, structured parse-error spans
 #                      and a CSV dataset.ingest round-trip between two
 #                      clients (examples/http_service.py)
-#   make bench-http  — requests/sec for cached vs uncached RWR over HTTP
-#                      (connection-per-request and keep-alive rows) and
-#                      the in-process transport, incl. streamed
+#   make bench-http  — requests/sec for cached vs uncached RWR over the
+#                      shipped HTTP client (keep-alive, one connection per
+#                      thread) and the in-process transport, incl. streamed
 #                      full-vector rates; writes benchmarks/BENCH_http.json
 #   make bench-kernels — prepared-vs-cold and blocked-vs-looped mining
 #                      kernel medians plus one-factorization blocked exact

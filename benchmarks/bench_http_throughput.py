@@ -8,12 +8,11 @@ measures end-to-end requests/sec for
 * **cached** RWR — one hot request repeated, answered from the shared
   ``ResultCache`` after the first computation;
 
-over the HTTP transport — two rows: the shipped client's
-connection-per-request and persistent keep-alive connections — and, for
-reference, the in-process transport (protocol overhead without the
-socket).  Sequential and small-thread-pool concurrent rates are both
-reported, plus the streamed full-vector rate (``/v1/stream`` cursor
-chunks vs the one-shot body) where the client streams.
+over the shipped HTTP client (one persistent connection per calling
+thread) and, for reference, the in-process transport (protocol overhead
+without the socket).  Sequential and small-thread-pool concurrent rates
+are both reported, plus the streamed full-vector rate (``/v1/stream``
+cursor chunks vs the one-shot body).
 
 Emits ``BENCH_http.json`` next to this file — the start of the service's
 performance trajectory (ROADMAP: "as fast as the hardware allows").
@@ -23,14 +22,12 @@ Run it:  ``PYTHONPATH=src python benchmarks/bench_http_throughput.py``
 
 from __future__ import annotations
 
-import http.client
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.api import GMineClient, GMineHTTPServer, Response
+from repro.api import GMineClient, GMineHTTPServer
 from repro.core.builder import build_gtree
 from repro.data.dblp import DBLPConfig, generate_dblp
 from repro.service import GMineService
@@ -44,26 +41,6 @@ CONCURRENCY = 4
 
 def _rate(count: int, elapsed: float) -> float:
     return round(count / elapsed, 2) if elapsed > 0 else float("inf")
-
-
-class KeepAliveClient:
-    """``query`` over one persistent connection per calling thread."""
-
-    def __init__(self, address) -> None:
-        self._address = address
-        self._local = threading.local()
-
-    def query(self, op, args):
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = http.client.HTTPConnection(*self._address, timeout=30)
-            self._local.connection = connection
-        connection.request(
-            "POST", "/v1/query",
-            body=json.dumps({"op": op, "args": args}),
-            headers={"Content-Type": "application/json"},
-        )
-        return Response.from_dict(json.loads(connection.getresponse().read()))
 
 
 def _run_sequential(client: GMineClient, requests) -> float:
@@ -124,11 +101,10 @@ def main() -> None:
         service.register_tree(tree, graph=dataset.graph, name="dblp")
         with GMineHTTPServer(service, port=0) as server:
             rows = {
-                ("http", "connection_per_request"): GMineClient.http(server.url),
-                ("http", "keep_alive"): KeepAliveClient(server.address),
-                ("in_process", None): GMineClient.in_process(service),
+                "http": GMineClient.http(server.url),
+                "in_process": GMineClient.in_process(service),
             }
-            for (transport, row), client in rows.items():
+            for transport, client in rows.items():
                 service.cache.clear()
                 uncached_elapsed = _run_sequential(client, uncached)
                 client.query(hot["op"], args=hot["args"])  # warm the hot entry
@@ -144,39 +120,35 @@ def main() -> None:
                         1,
                     ),
                 }
-                if isinstance(client, GMineClient):
-                    # streamed full vector (cursor chunks) vs the one-shot body
-                    stream_runs = 20
-                    start = time.perf_counter()
-                    for _ in range(stream_runs):
-                        merged = client.stream_result(
-                            hot["op"], args=hot["args"], chunk_size=100
-                        )
-                    stream_elapsed = time.perf_counter() - start
-                    total = len(merged["scores"])
-                    start = time.perf_counter()
-                    for _ in range(stream_runs):
-                        client.query(
-                            hot["op"], args=hot["args"], page={"top_k": total}
-                        ).unwrap()
-                    one_shot_elapsed = time.perf_counter() - start
-                    entry["streamed_full_vector_rps"] = _rate(
-                        stream_runs, stream_elapsed
+                # streamed full vector (cursor chunks) vs the one-shot body
+                stream_runs = 20
+                start = time.perf_counter()
+                for _ in range(stream_runs):
+                    merged = client.stream_result(
+                        hot["op"], args=hot["args"], chunk_size=100
                     )
-                    entry["one_shot_full_vector_rps"] = _rate(
-                        stream_runs, one_shot_elapsed
-                    )
-                if row is None:
-                    report["transports"][transport] = entry
-                else:
-                    report["transports"].setdefault(transport, {})[row] = entry
-                name = transport if row is None else f"{transport}/{row}"
-                print(f"{name:>27}: uncached {entry['uncached_rps']:>8} req/s | "
+                stream_elapsed = time.perf_counter() - start
+                total = len(merged["scores"])
+                start = time.perf_counter()
+                for _ in range(stream_runs):
+                    client.query(
+                        hot["op"], args=hot["args"], page={"top_k": total}
+                    ).unwrap()
+                one_shot_elapsed = time.perf_counter() - start
+                entry["streamed_full_vector_rps"] = _rate(
+                    stream_runs, stream_elapsed
+                )
+                entry["one_shot_full_vector_rps"] = _rate(
+                    stream_runs, one_shot_elapsed
+                )
+                client.close()
+                report["transports"][transport] = entry
+                print(f"{transport:>10}: uncached {entry['uncached_rps']:>8} req/s | "
                       f"cached {entry['cached_rps']:>8} req/s | "
                       f"cached x{CONCURRENCY} threads "
                       f"{entry['cached_concurrent_rps']:>8} req/s | "
                       f"cache speedup {entry['cache_speedup']}x | stream "
-                      f"{entry.get('streamed_full_vector_rps', 'n/a'):>7} req/s")
+                      f"{entry['streamed_full_vector_rps']:>7} req/s")
             stats = service.stats()
             report["cache_stats"] = stats["cache"]
 

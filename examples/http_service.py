@@ -84,9 +84,11 @@ def smoke_one_backend(backend, tree, store_path, graph_path):
         service.register_store(
             store_path, name="dblp", graph_path=graph_path
         )
-        with GMineHTTPServer(service, port=0) as server:
+        with (
+            GMineHTTPServer(service, port=0) as server,
+            GMineClient.http(server.url) as remote,
+        ):
             print(f"[{backend}] serving gmine/1 on {server.url}")
-            remote = GMineClient.http(server.url)
             local = GMineClient.in_process(service)
 
             # ---------------------------------------------------------- #
@@ -178,9 +180,11 @@ def smoke_protocol_v2(tree, store_path, graph_path):
 
     with GMineService(max_workers=4) as service:
         service.register_store(store_path, name="dblp", graph_path=graph_path)
-        with GMineHTTPServer(service, port=0) as server:
-            client = GMineClient.http(server.url)
-            second = GMineClient.http(server.url)
+        with (
+            GMineHTTPServer(service, port=0) as server,
+            GMineClient.http(server.url) as client,
+            GMineClient.http(server.url) as second,
+        ):
             print(f"[v2] serving on {server.url}")
 
             # ------------------------------------------------------------ #
@@ -234,13 +238,16 @@ def smoke_protocol_v2(tree, store_path, graph_path):
         # authed + rate-limited server: structured 401/429 envelopes
         # ---------------------------------------------------------------- #
         policy = FrontendPolicy(auth_token="smoke-token", rate_limit=50.0)
-        with GMineHTTPServer(service, port=0, policy=policy) as guarded:
+        with (
+            GMineHTTPServer(service, port=0, policy=policy) as guarded,
+            GMineClient.http(guarded.url) as anonymous,
+            GMineClient.http(guarded.url, auth_token="smoke-token") as authed,
+        ):
             try:
-                GMineClient.http(guarded.url).ops()
+                anonymous.ops()
                 raise AssertionError("missing bearer token must raise")
             except AuthRequiredError as error:
                 print(f"[v2] unauthenticated -> AuthRequiredError: {error}")
-            authed = GMineClient.http(guarded.url, auth_token="smoke-token")
             assert authed.call("connectivity", dataset="dblp")["edges"]
             rejections = 0
             for _ in range(120):  # well past the 50-token burst
@@ -284,9 +291,11 @@ def smoke_mutations():
 
     with GMineService(max_workers=4) as service:
         service.register_tree(tree, graph=mutable.graph, name="live")
-        with GMineHTTPServer(service, port=0) as server:
-            editor = GMineClient.http(server.url)
-            watcher = GMineClient.http(server.url)
+        with (
+            GMineHTTPServer(service, port=0) as server,
+            GMineClient.http(server.url) as editor,
+            GMineClient.http(server.url) as watcher,
+        ):
 
             leaves = sorted(tree.leaves(), key=lambda node: -node.size)
             edited_leaf, quiet_leaf = leaves[0], leaves[-1]
@@ -365,9 +374,11 @@ def smoke_gpath(tree, store_path, graph_path, workdir: Path):
 
     with GMineService(max_workers=4) as service:
         service.register_store(store_path, name="dblp", graph_path=graph_path)
-        with GMineHTTPServer(service, port=0) as server:
-            remote = GMineClient.http(server.url)
-            other = GMineClient.http(server.url)
+        with (
+            GMineHTTPServer(service, port=0) as server,
+            GMineClient.http(server.url) as remote,
+            GMineClient.http(server.url) as other,
+        ):
             local = GMineClient.in_process(service)
 
             src = ", ".join(str(s) for s in sources)

@@ -8,8 +8,17 @@ discovery, stats, and session lifecycle — over either transport:
   serialises payloads with the same canonical ``dumps``, so the bytes are
   identical to what a socket would carry;
 * **HTTP**: ``GMineClient.http(url)`` speaks to a running
-  ``gmine serve --http`` server via :mod:`urllib` (stdlib only).  ``auth_token=`` attaches the
-  bearer token a :class:`~repro.api.http.FrontendPolicy` demands.
+  ``gmine serve --http`` server via :mod:`http.client` (stdlib only),
+  over one persistent connection per calling thread.  A connection the
+  server closed while idle is replaced before the next request; one
+  closed under a request is resent once on a fresh connection, but only
+  for requests that are safe to send twice (``GET`` and cacheable
+  queries/streams) — ``session.step``, ``dataset.apply`` and batches
+  raise :class:`~repro.errors.ProtocolError` rather than risk running
+  twice.  Proxy environment variables are not consulted.  ``close()``
+  (or a ``with`` block) closes every connection the client opened.
+  ``auth_token=`` attaches the bearer token a
+  :class:`~repro.api.http.FrontendPolicy` demands.
 
 Protocol v2 adds the **streaming iterator API**: :meth:`GMineClient.stream`
 yields one :class:`~repro.api.wire.Response` per cursor chunk, and
@@ -26,9 +35,11 @@ typed exception for the structured error code (``SESSION_EXPIRED`` raises
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import select
+import threading
+import weakref
 from typing import (
     Any,
     Dict,
@@ -40,6 +51,7 @@ from typing import (
     Tuple,
     Union,
 )
+from urllib.parse import urlsplit
 
 from ..errors import ProtocolError
 from .ops import DEFAULT_REGISTRY
@@ -136,8 +148,82 @@ class InProcessTransport:
         pass
 
 
+class _Idle:
+    """One thread's idle connection, closed when the thread's locals go.
+
+    A thread that ends (or a transport that is collected) drops its
+    ``threading.local`` slots; closing the connection here keeps its
+    socket from lingering until a garbage collection notices it.
+    """
+
+    __slots__ = ("connection", "live")
+
+    def __init__(self, live: set) -> None:
+        self.connection: Optional[http.client.HTTPConnection] = None
+        self.live = live
+
+    def __del__(self) -> None:
+        if self.connection is not None:
+            self.live.discard(self.connection)
+            self.connection.close()
+
+
+def _close_all(live: set) -> None:
+    """Close every connection in ``live``; safe against concurrent callers."""
+    while live:
+        try:
+            connection = live.pop()
+        except KeyError:  # another thread emptied it first
+            break
+        connection.close()
+
+
+def _peer_closed(sock) -> bool:
+    """Zero-timeout readability check of an idle keep-alive socket.
+
+    Between requests the server has nothing to say, so a readable socket
+    means it closed the connection (EOF) or broke framing; either way the
+    connection must not carry another request.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])  # pragma: no cover
+
+
+def _resendable(method: str, path: str, body: Optional[Mapping[str, Any]]) -> bool:
+    """Whether a request may be sent twice: a GET, or a cacheable query/stream."""
+    if method == "GET":
+        return True
+    if path in ("/v1/query", "/v1/stream") and isinstance(body, Mapping):
+        return _is_idempotent(body.get("op"))
+    return False
+
+
+#: How a reused keep-alive connection fails when the server closed it
+#: under the request: no response byte arrived (``RemoteDisconnected`` is
+#: a ``ConnectionResetError``), or the write itself hit the closed socket.
+_TORN = (ConnectionResetError, BrokenPipeError)
+
+
 class HTTPTransport:
-    """Speak to a running ``gmine serve --http`` front-end (stdlib only)."""
+    """Speak to a running ``gmine serve --http`` front-end (stdlib only).
+
+    Each calling thread keeps one persistent HTTP/1.1 connection
+    (:mod:`http.client`) and reuses it for every call and stream, so a
+    cache hit costs one round trip, not a TCP handshake.  Before reuse, a
+    zero-timeout readability check catches a connection the server has
+    already closed, and the request goes out on a fresh one instead.  If
+    the server closes a reused connection after the request was written
+    but before any response byte, the request is resent once on a fresh
+    connection — only when sending it twice is harmless (a ``GET``, or a
+    ``/v1/query`` / ``/v1/stream`` of a registry-cacheable op); anything
+    else (``session.step``, ``dataset.apply``, ``/v1/batch``) raises
+    :class:`~repro.errors.ProtocolError` instead.  Connections go straight
+    to ``base_url``: proxy environment variables are not consulted.
+    :meth:`close` closes every connection, from every thread.
+    """
 
     name = "http"
 
@@ -150,13 +236,116 @@ class HTTPTransport:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.auth_token = auth_token
+        target = urlsplit(self.base_url)
+        if target.scheme not in ("http", "https") or not target.hostname:
+            raise ProtocolError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if target.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host = target.hostname
+        self._port = target.port
+        self._prefix = target.path
+        self._headers = {"Content-Type": "application/json"}
+        if auth_token is not None:
+            self._headers["Authorization"] = f"Bearer {auth_token}"
+        self._local = threading.local()
+        self._live: set = set()  # every open connection, from every thread
+        # Held by the finalizer, not just by this object: a transport that
+        # dies in a reference cycle still closes its sockets before the
+        # collector could finalize them unclosed.
+        weakref.finalize(self, _close_all, self._live)
 
-    def _headers(self) -> Dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token is not None:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
-        return headers
+    # ------------------------------------------------------------------ #
+    # connections
+    # ------------------------------------------------------------------ #
+    def _idle(self) -> _Idle:
+        idle = getattr(self._local, "idle", None)
+        if idle is None:
+            idle = self._local.idle = _Idle(self._live)
+        return idle
 
+    def _checkout(
+        self, timeout: Optional[float]
+    ) -> Tuple[http.client.HTTPConnection, bool]:
+        """This thread's connection (and whether it is reused) or a new one.
+
+        A stream in progress holds its connection checked out, so a call
+        made while iterating it gets a connection of its own.
+        """
+        idle = self._idle()
+        connection, idle.connection = idle.connection, None
+        if connection is not None:
+            if connection.sock is not None and not _peer_closed(connection.sock):
+                connection.sock.settimeout(timeout)
+                return connection, True
+            self._retire(connection)
+        connection = self._connection_class(self._host, self._port, timeout=timeout)
+        try:
+            connection.connect()
+        except OSError as error:
+            connection.close()
+            raise ProtocolError(
+                f"cannot reach GMine server at {self.base_url}: {error}"
+            ) from error
+        self._live.add(connection)
+        return connection, False
+
+    def _checkin(
+        self,
+        connection: http.client.HTTPConnection,
+        reply: http.client.HTTPResponse,
+    ) -> None:
+        """Keep a connection whose response was read to the end."""
+        idle = self._idle()
+        if reply.will_close or idle.connection is not None:
+            self._retire(connection)
+        else:
+            idle.connection = connection
+
+    def _retire(self, connection: http.client.HTTPConnection) -> None:
+        self._live.discard(connection)
+        connection.close()
+
+    def _send(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Mapping[str, Any]],
+        timeout: Optional[float],
+    ) -> Tuple[http.client.HTTPConnection, http.client.HTTPResponse]:
+        """Write one request and read the response head."""
+        data = None if body is None else _encode_request_body(body)
+        socket_timeout = self.timeout if timeout is None else timeout
+        while True:
+            connection, reused = self._checkout(socket_timeout)
+            try:
+                connection.request(
+                    method, self._prefix + path, body=data, headers=self._headers
+                )
+                return connection, connection.getresponse()
+            except _TORN as error:
+                self._retire(connection)
+                if reused and _resendable(method, path, body):
+                    continue  # once: the next connection is a fresh one
+                raise ProtocolError(
+                    f"GMine server at {self.base_url} closed the connection "
+                    f"before answering: {error!r}"
+                ) from error
+            except (OSError, http.client.HTTPException) as error:
+                self._retire(connection)
+                raise ProtocolError(
+                    f"request to GMine server at {self.base_url} failed: {error!r}"
+                ) from error
+
+    def _broken_off(self, error: Exception) -> ProtocolError:
+        return ProtocolError(
+            f"GMine server at {self.base_url} broke off a response: {error!r}"
+        )
+
+    # ------------------------------------------------------------------ #
+    # exchanges
+    # ------------------------------------------------------------------ #
     def call(
         self,
         method: str,
@@ -164,34 +353,23 @@ class HTTPTransport:
         body: Optional[Mapping[str, Any]],
         timeout: Optional[float] = None,
     ) -> Exchange:
-        data = None if body is None else _encode_request_body(body)
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers=self._headers(),
-        )
-        socket_timeout = self.timeout if timeout is None else timeout
+        # Non-2xx statuses (404 unknown session, 410 expired, …) carry a
+        # protocol envelope in the body exactly like a success does.
+        connection, reply = self._send(method, path, body, timeout)
         try:
-            with urllib.request.urlopen(request, timeout=socket_timeout) as reply:
-                raw = reply.read()
-                status = reply.status
-        except urllib.error.HTTPError as error:
-            # Structured failures (404 unknown session, 410 expired, …)
-            # still carry a protocol envelope in the body.
-            raw = error.read()
-            status = error.code
-        except urllib.error.URLError as error:
-            raise ProtocolError(
-                f"cannot reach GMine server at {self.base_url}: {error.reason}"
-            ) from error
+            raw = reply.read()
+        except (OSError, http.client.HTTPException) as error:
+            reply.close()
+            self._retire(connection)
+            raise self._broken_off(error) from error
+        self._checkin(connection, reply)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ProtocolError(
-                f"server returned non-protocol payload (status {status})"
+                f"server returned non-protocol payload (status {reply.status})"
             ) from error
-        return status, payload, raw
+        return reply.status, payload, raw
 
     def stream(
         self,
@@ -202,32 +380,22 @@ class HTTPTransport:
     ) -> Iterator[Exchange]:
         """Yield one exchange per NDJSON line of a chunked stream response.
 
-        ``urllib`` decodes the chunked transfer encoding transparently;
-        each line is one canonical envelope, yielded with its exact bytes
-        (sans the line feed) so parity against the in-process transport is
-        byte-for-byte.  Closing the generator early closes the socket.
+        :mod:`http.client` decodes the chunked transfer encoding; each
+        line is one canonical envelope, yielded with its exact bytes (sans
+        the line feed) so parity against the in-process transport is
+        byte-for-byte.  A stream read to its end returns the connection
+        to the thread; one closed early closes the connection, whose
+        unread chunks would corrupt the next exchange.
         """
-        data = None if body is None else _encode_request_body(body)
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers=self._headers(),
-        )
-        try:
-            reply = urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout
-            )
-        except urllib.error.HTTPError as error:
-            reply = error  # error bodies stream exactly like success bodies
-        except urllib.error.URLError as error:
-            raise ProtocolError(
-                f"cannot reach GMine server at {self.base_url}: {error.reason}"
-            ) from error
-        status = reply.status if hasattr(reply, "status") else reply.code
+        connection, reply = self._send(method, path, body, timeout)
+        status = reply.status
+        finished = False
         try:
             while True:
-                line = reply.readline()
+                try:
+                    line = reply.readline()
+                except (OSError, http.client.HTTPException) as error:
+                    raise self._broken_off(error) from error
                 if not line:
                     break
                 raw = line.rstrip(b"\n")
@@ -240,11 +408,17 @@ class HTTPTransport:
                         f"server streamed a non-protocol line (status {status})"
                     ) from error
                 yield status, payload, raw
+            finished = True
         finally:
-            reply.close()
+            if finished:
+                self._checkin(connection, reply)
+            else:
+                reply.close()
+                self._retire(connection)
 
     def close(self) -> None:
-        pass
+        """Close every connection this transport opened, in every thread."""
+        _close_all(self._live)
 
 
 class GMineClient:
@@ -285,6 +459,9 @@ class GMineClient:
     ) -> "GMineClient":
         """A client speaking to ``gmine serve --http`` at ``url``.
 
+        ``url`` is ``http://`` or ``https://``, optionally with a path
+        prefix.  Each calling thread reuses one persistent connection;
+        :meth:`close` (or a ``with`` block) closes them all.
         ``auth_token`` attaches ``Authorization: Bearer <token>`` to every
         request, matching a server started with ``--auth-token``.
         """
@@ -294,6 +471,7 @@ class GMineClient:
         )
 
     def close(self) -> None:
+        """Release the transport (over HTTP: every open connection)."""
         self.transport.close()
 
     def __enter__(self) -> "GMineClient":

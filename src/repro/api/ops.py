@@ -41,6 +41,7 @@ import functools
 from ..core.editing import validate_edit_script
 from ..errors import GMineError, InvalidArgumentError
 from ..mining.metrics_suite import metrics_signature
+from ..mining.rwr import top_scored
 from ..query import compile_query, evaluate_path, parse, unparse
 from ..query.plan import Const
 from .plans import plan_for, run_plan
@@ -501,13 +502,12 @@ def _encode_metrics(value, page: Mapping[str, Any]):
 
 def _encode_rwr(value, page: Mapping[str, Any]):
     top_k = page.get("top_k", page.get("limit", DEFAULT_TOP_K))
-    ranked = value.top(len(value.scores))
     payload = {
         "iterations": value.iterations,
         "converged": value.converged,
         "restart_probability": value.restart_probability,
         "num_scores": len(value.scores),
-        "scores": [[node, score] for node, score in ranked[:top_k]],
+        "scores": [[node, score] for node, score in value.top(top_k)],
     }
     return payload, {"top_k": top_k, "total": len(value.scores)}
 
@@ -515,7 +515,6 @@ def _encode_rwr(value, page: Mapping[str, Any]):
 def _encode_connection_subgraph(value, page: Mapping[str, Any]):
     top_k = page.get("top_k", DEFAULT_TOP_K)
     subgraph = value.subgraph
-    goodness = sorted(value.goodness.items(), key=lambda pair: (-pair[1], repr(pair[0])))
     payload = {
         "nodes": sorted(subgraph.nodes(), key=repr),
         "edges": sorted(
@@ -525,7 +524,9 @@ def _encode_connection_subgraph(value, page: Mapping[str, Any]):
         "budget": value.budget,
         "num_nodes": value.num_nodes,
         "num_paths": len(value.paths),
-        "goodness": [[node, score] for node, score in goodness[:top_k]],
+        "goodness": [
+            [node, score] for node, score in top_scored(value.goodness, top_k, repr)
+        ],
     }
     return payload, None
 

@@ -34,6 +34,14 @@ exception's MRO to the nearest declared ancestor, and
 Both transports — in-process and HTTP — speak
 exactly these envelopes, which is what makes the byte-identical parity
 guarantee testable.
+
+One response family sits outside byte parity: ``session.step``
+envelopes.  Their ``session`` summary carries per-session counters
+(``steps``, ``touches``) that count the calls made on that one session,
+so the same step sent to two sessions with different histories answers
+with different bytes.  Parity for steps holds only for the same sequence
+driven through fresh sessions, modulo the session id; every other
+envelope, session reads included, must match byte for byte.
 """
 
 from __future__ import annotations

@@ -174,8 +174,10 @@ def _cmd_query_protocol(args: argparse.Namespace) -> int:
     if args.url:
         # remote mode: the target positional names the server-side dataset
         dataset = None if args.target in (None, "-") else args.target
-        client = GMineClient.http(args.url, auth_token=args.auth_token)
-        response = client.query(args.op, dataset=dataset, args=op_args, page=page)
+        with GMineClient.http(args.url, auth_token=args.auth_token) as client:
+            response = client.query(
+                args.op, dataset=dataset, args=op_args, page=page
+            )
         _print_json(response.to_dict())
         return 0 if response.ok else 3
 
@@ -227,10 +229,10 @@ def cmd_path(args: argparse.Namespace) -> int:
     op_args = {"path": args.path_query}
     if args.url:
         dataset = None if args.target in (None, "-") else args.target
-        client = GMineClient.http(args.url, auth_token=args.auth_token)
-        response = client.query(
-            "query.path", dataset=dataset, args=op_args, page=page
-        )
+        with GMineClient.http(args.url, auth_token=args.auth_token) as client:
+            response = client.query(
+                "query.path", dataset=dataset, args=op_args, page=page
+            )
         _print_json(response.to_dict())
         return 0 if response.ok else 3
     if not args.target:
@@ -266,8 +268,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "store": args.store,
     }
     if args.url:
-        client = GMineClient.http(args.url, auth_token=args.auth_token)
-        response = client.query("dataset.ingest", args=op_args)
+        with GMineClient.http(args.url, auth_token=args.auth_token) as client:
+            response = client.query("dataset.ingest", args=op_args)
         _print_json(response.to_dict())
         return 0 if response.ok else 3
     if not Path(args.graph).exists():
@@ -282,7 +284,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_ops(args: argparse.Namespace) -> int:
     """Dump the Protocol v2 operation registry (names or full schemas)."""
     if args.url:
-        table = GMineClient.http(args.url, auth_token=args.auth_token).ops()
+        with GMineClient.http(args.url, auth_token=args.auth_token) as client:
+            table = client.ops()
     else:
         table = DEFAULT_REGISTRY.describe()
     if args.describe:
@@ -322,17 +325,21 @@ def cmd_apply(args: argparse.Namespace) -> int:
         script = [script]
     if not isinstance(script, list):
         raise CLIError("edit script must be a JSON list of edit records")
-    client = GMineClient.http(args.url, auth_token=args.auth_token)
-    report = client.apply_dataset(
-        args.dataset, script, refresh_rwr=args.refresh_rwr
-    )
+    with GMineClient.http(args.url, auth_token=args.auth_token) as client:
+        report = client.apply_dataset(
+            args.dataset, script, refresh_rwr=args.refresh_rwr
+        )
     _print_json(report)
     return 0
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
     """Long-poll a dataset's change feed, printing each event as JSON."""
-    client = GMineClient.http(args.url, auth_token=args.auth_token)
+    with GMineClient.http(args.url, auth_token=args.auth_token) as client:
+        return _watch(client, args)
+
+
+def _watch(client: GMineClient, args: argparse.Namespace) -> int:
     since = args.since
     polls = 0
     while True:

@@ -20,6 +20,7 @@ from ..graph.matrix import (
     adjacency_matrix,
     pagerank_operator,
 )
+from .rwr import top_scored
 
 
 def pagerank(
@@ -141,5 +142,5 @@ def _pagerank_power(
 def top_pagerank_nodes(
     scores: Dict[NodeId, float], count: int = 10
 ) -> list:
-    """Return the ``count`` highest-scoring ``(node, score)`` pairs."""
-    return sorted(scores.items(), key=lambda pair: (-pair[1], repr(pair[0])))[:count]
+    """Return the ``count`` highest-scoring ``(node, score)`` pairs (ties by ``repr``)."""
+    return top_scored(scores, count, repr)

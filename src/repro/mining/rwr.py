@@ -25,8 +25,19 @@ results **bit-identical** to the per-source loop.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 from scipy import sparse
@@ -59,6 +70,25 @@ def node_sort_key(node: NodeId):
     return (type(node).__name__, 0, repr(node))
 
 
+def top_scored(
+    scores: Mapping[NodeId, float],
+    count: int,
+    tie_key: Callable[[NodeId], Any] = node_sort_key,
+) -> List:
+    """The ``count`` highest ``(node, score)`` pairs, ties broken by ``tie_key``.
+
+    Exactly ``sorted(scores.items(), key=(-score, tie_key(node)))[:count]``,
+    but only the pairs at or above the ``count``-th largest score are
+    sorted: a page of 20 out of 1 500 scores sorts 20-odd rows (plus any
+    ties at the floor), not 1 500.
+    """
+    items = scores.items()
+    if 0 < count < len(scores):
+        floor = heapq.nlargest(count, scores.values())[-1]
+        items = [pair for pair in items if pair[1] >= floor]
+    return sorted(items, key=lambda pair: (-pair[1], tie_key(pair[0])))[:count]
+
+
 @dataclass
 class RWRResult:
     """Steady-state RWR distribution for one source set."""
@@ -75,10 +105,7 @@ class RWRResult:
         :func:`node_sort_key` — independent of ``scores`` insertion order,
         and therefore of which backend produced the result.
         """
-        return sorted(
-            self.scores.items(),
-            key=lambda pair: (-pair[1], node_sort_key(pair[0])),
-        )[:count]
+        return top_scored(self.scores, count)
 
 
 def _resolve_operator(

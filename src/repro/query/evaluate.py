@@ -205,11 +205,9 @@ def evaluate_path(
                 solver="power", prepared=prep,
             )
             total = len(rwr.scores)
-            # A fused top(k) only needs the k best rows ranked; the full
-            # sort is reserved for unlimited score listings.
-            ranked = rwr.top(
-                total if node.limit is None else min(node.limit, total)
-            )
+            # A fused top(k) ranks only the rows at or above the k-th best
+            # score; unlimited score listings sort the whole vector.
+            ranked = rwr.top(total if node.limit is None else node.limit)
             result = PathResult(
                 kind="scores",
                 scores=tuple((n, float(s)) for n, s in ranked),
