@@ -9,6 +9,7 @@ ordering and one normalisation convention.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
@@ -259,6 +260,8 @@ class PreparedGraph:
         #: sweeps should not pin O(n) factors).  SuperLU objects are not
         #: picklable, so :meth:`__getstate__` drops this cache.
         self._exact_factors: "OrderedDict[float, Any]" = OrderedDict()
+        #: ``(weakref to graph, build, build(graph))`` of :meth:`graph_view`.
+        self._graph_view: Tuple[Any, Callable, Any] | None = None
 
     @classmethod
     def from_graph(
@@ -336,11 +339,41 @@ class PreparedGraph:
             self._exact_factors[key] = factor
         return factor
 
+    def graph_view(self, graph: Graph, build: Callable[[Graph], Any]) -> Any:
+        """``build(graph)``, memoised for that very ``graph`` object.
+
+        For views a kernel derives from the dict :class:`Graph` rather than
+        from the matrix (neighbour lists in ``graph.neighbors`` order,
+        dict-order degree sums).  The memo is keyed by identity through a
+        weak reference, never by equality: an equal graph built elsewhere,
+        or a fresh subgraph per request, misses and is built per call.
+        The slot empties when its graph is collected, so a view built for
+        a per-request subgraph is not pinned after the request.  One slot,
+        same benign-race policy as the other lazy views.
+        """
+        memo = self._graph_view
+        if memo is not None and memo[0]() is graph and memo[1] is build:
+            return memo[2]
+        view = build(graph)
+        owner = weakref.ref(self)
+
+        def drop(key: weakref.ref) -> None:
+            prepared = owner()
+            if prepared is not None:
+                held = prepared._graph_view
+                if held is not None and held[0] is key:
+                    prepared._graph_view = None
+
+        self._graph_view = (weakref.ref(graph, drop), build, view)
+        return view
+
     def __getstate__(self) -> Dict[str, Any]:
         # SuperLU factors hold C pointers and cannot pickle; workers
-        # refactorize on first exact solve instead.
+        # refactorize on first exact solve instead.  A graph view is tied
+        # to an in-process graph object by weak reference.
         state = self.__dict__.copy()
         state["_exact_factors"] = OrderedDict()
+        state["_graph_view"] = None
         return state
 
     # ------------------------------------------------------------------ #

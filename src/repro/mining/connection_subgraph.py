@@ -15,6 +15,28 @@ that "best captures the relationship" among the sources:
 
 The output is the induced subgraph on the selected vertices plus extraction
 metadata (scores, the paths chosen, budget accounting).
+
+Everything after the RWR runs on integer vertex positions
+(:class:`GraphArrays`): position ``i`` is the ``i``-th vertex of
+``graph.nodes()``, ``neighbours[i]`` lists its neighbours' positions and
+``degrees[i]`` its weighted degree.  The widest scope memoises the arrays
+on its :class:`~repro.graph.matrix.PreparedGraph`, keyed by the graph
+object's identity; a community scope is a fresh subgraph per request and
+builds them per call.  The result is byte-identical to the same algorithm
+over the dict :class:`Graph`, which takes these rules:
+
+* neighbours are listed in ``graph.neighbors(v)`` order, not CSR column
+  order — Dijkstra breaks equal-cost ties by push order, and selected
+  vertices cost 0, so ties are common;
+* path costs are ``-math.log(max(goodness, 1e-12))`` per vertex
+  (``np.log`` rounds differently on some values);
+* the degree divisor is Python's ``d ** ((k - 1) / k)`` over
+  ``graph.weighted_degree`` (a dict-order sum), cached per source count;
+* goodness logs and exps are vectorised over the per-source score
+  columns, read into graph order by vertex id, whatever the RWR index
+  order (:func:`repro.mining.rwr.goodness_vector`);
+* the top-up keeps one frontier heap keyed by ``(goodness, repr rank)``,
+  which pops the vertex ``max(frontier, key=(goodness, repr))`` would.
 """
 
 from __future__ import annotations
@@ -23,12 +45,61 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import ExtractionError
 from ..graph.graph import Graph, NodeId
 from ..graph.matrix import PreparedGraph
-from .rwr import goodness_scores, per_source_rwr
+from .rwr import RWRResult, degree_normaliser, goodness_vector, per_source_rwr
+
+#: Goodness floor of a path cost: ``-log`` of 0 would be infinite.
+_GOODNESS_FLOOR = 1e-12
+
+
+class GraphArrays:
+    """Integer-position view of one :class:`Graph` for the extraction kernel."""
+
+    def __init__(self, graph: Graph) -> None:
+        self.nodes: List[NodeId] = list(graph.nodes())
+        self.position: Dict[NodeId, int] = {node: i for i, node in enumerate(self.nodes)}
+        position = self.position
+        #: ``neighbours[i]``: positions of vertex ``i``'s neighbours in
+        #: ``graph.neighbors`` order.
+        self.neighbours: List[tuple] = [
+            tuple([position[neighbor] for neighbor in graph.neighbors(node)])
+            for node in self.nodes
+        ]
+        self.degrees: List[float] = [graph.weighted_degree(node) for node in self.nodes]
+        self._normalisers: Dict[int, Optional[np.ndarray]] = {}
+        self._repr_rank: Optional[List[int]] = None
+
+    def normaliser(self, num_sources: int) -> Optional[np.ndarray]:
+        """Memoised :func:`~repro.mining.rwr.degree_normaliser` for ``k`` sources."""
+        if num_sources not in self._normalisers:
+            self._normalisers[num_sources] = degree_normaliser(self.degrees, num_sources)
+        return self._normalisers[num_sources]
+
+    @property
+    def repr_rank(self) -> List[int]:
+        """``repr_rank[i]``: rank of ``repr(nodes[i])`` among all vertices."""
+        if self._repr_rank is None:
+            reprs = [repr(node) for node in self.nodes]
+            rank = [0] * len(reprs)
+            for order, i in enumerate(sorted(range(len(reprs)), key=reprs.__getitem__)):
+                rank[i] = order
+            self._repr_rank = rank
+        return self._repr_rank
+
+    def score_columns(self, per_source: Dict[NodeId, RWRResult]) -> List[np.ndarray]:
+        """Per-source scores in position order, looked up by vertex id."""
+        n = len(self.nodes)
+        return [
+            np.fromiter(map(result.scores.get, self.nodes, [0.0] * n),
+                        dtype=np.float64, count=n)
+            for result in per_source.values()
+        ]
 
 
 @dataclass
@@ -82,8 +153,9 @@ def extract_connection_subgraph(
         dynamic program.
     prepared:
         A :class:`~repro.graph.matrix.PreparedGraph` for ``graph``; the
-        per-source RWR goodness loop then runs blocked against the cached
-        transition matrix instead of rebuilding it per source.
+        per-source RWR then runs blocked against the cached transition
+        matrix, and the :class:`GraphArrays` of ``graph`` are memoised on
+        it (for this graph object only).
     """
     sources = list(dict.fromkeys(sources))  # dedupe, keep order
     if not sources:
@@ -100,48 +172,62 @@ def extract_connection_subgraph(
         graph, sources, restart_probability=restart_probability, solver=solver,
         prepared=prepared,
     )
-    goodness = goodness_scores(graph, per_source, degree_normalized=degree_normalized)
+    if prepared is not None:
+        arrays = prepared.graph_view(graph, GraphArrays)
+    else:
+        arrays = GraphArrays(graph)
+    normaliser = arrays.normaliser(len(sources)) if degree_normalized else None
+    goodness_array = goodness_vector(arrays.score_columns(per_source), normaliser)
+    scores = goodness_array.tolist()
+    goodness = dict(zip(arrays.nodes, scores))
 
-    selected: List[NodeId] = list(sources)
-    selected_set = set(selected)
+    selected: List[int] = [arrays.position[source] for source in sources]
+    is_selected = [False] * len(scores)
+    # Entering vertex v costs -log(max(goodness, floor)), kept as the log
+    # and subtracted (``a - b`` is ``a + -b`` exactly).  A selected vertex
+    # costs nothing extra, so the program prefers to reuse the display.
+    log_goodness = list(map(math.log, np.maximum(goodness_array, _GOODNESS_FLOOR).tolist()))
+    for node in selected:
+        is_selected[node] = True
+        log_goodness[node] = 0.0
+    size = len(selected)  # distinct selected vertices
     paths: List[List[NodeId]] = []
 
     # Step 2: iterative important-path discovery between source pairs.
-    pair_queue = list(combinations(sources, 2))
+    pair_queue = list(combinations(selected, 2))
     progressed = True
-    while progressed and len(selected_set) < budget:
+    while progressed and size < budget:
         progressed = False
         for origin, target in pair_queue:
-            if len(selected_set) >= budget:
+            if size >= budget:
                 break
             path = _best_goodness_path(
-                graph,
-                goodness,
-                origin,
-                target,
-                max_path_length=max_path_length,
-                prefer_new=selected_set,
+                arrays.neighbours, log_goodness, origin, target, max_path_length
             )
             if path is None:
                 continue
-            new_nodes = [node for node in path if node not in selected_set]
+            new_nodes = [node for node in path if not is_selected[node]]
             if not new_nodes:
                 continue
             # Respect the budget: only take the path if it fits entirely, so
             # the display never shows dangling half-paths.
-            if len(selected_set) + len(new_nodes) > budget:
+            if size + len(new_nodes) > budget:
                 continue
+            size += len(set(new_nodes))  # a path may repeat a vertex
             for node in new_nodes:
-                selected_set.add(node)
+                is_selected[node] = True
+                log_goodness[node] = 0.0
                 selected.append(node)
-            paths.append(path)
+            paths.append([arrays.nodes[node] for node in path])
             progressed = True
 
     # Step 3: top up with high-goodness neighbours of the current selection.
-    if len(selected_set) < budget:
-        _top_up(graph, goodness, selected, selected_set, budget)
+    if size < budget:
+        _top_up(arrays, scores, selected, is_selected, budget - size)
 
-    subgraph = graph.subgraph(selected, name=f"{graph.name}::extract")
+    subgraph = graph.subgraph(
+        [arrays.nodes[node] for node in selected], name=f"{graph.name}::extract"
+    )
     return ExtractionResult(
         subgraph=subgraph,
         sources=list(sources),
@@ -152,86 +238,93 @@ def extract_connection_subgraph(
 
 
 def _best_goodness_path(
-    graph: Graph,
-    goodness: Dict[NodeId, float],
-    origin: NodeId,
-    target: NodeId,
+    neighbours: List[tuple],
+    log_goodness: List[float],
+    origin: int,
+    target: int,
     max_path_length: int,
-    prefer_new: set,
-    epsilon: float = 1e-12,
-) -> Optional[List[NodeId]]:
+) -> Optional[List[int]]:
     """Return the path from ``origin`` to ``target`` maximising interior goodness.
 
-    Dynamic program over (vertex, hops): ``best[v][h]`` is the maximum sum of
-    log-goodness over interior vertices of a path from ``origin`` to ``v``
-    using exactly ``h`` edges.  Vertices already selected cost nothing extra
-    (so the program prefers to reuse the existing display), which is the
-    "iteratively discover important paths" behaviour described in the paper.
+    Dijkstra over the layered graph of ``(position, hops)`` states, encoded
+    as ``position * (max_path_length + 1) + hops``: the cheapest state
+    popped at ``target`` is the path maximising the sum of log-goodness
+    over its interior vertices with at most ``max_path_length`` edges.
+    Entering ``v`` costs ``-log_goodness[v]`` (non-negative; 0 for the
+    sources).  Ties pop in push order.
     """
     if origin == target:
         return [origin]
-
-    def node_cost(node: NodeId) -> float:
-        if node in prefer_new or node in (origin, target):
-            return 0.0
-        return -math.log(max(goodness.get(node, 0.0), epsilon))
-
-    # Dijkstra over the layered graph (vertex, hops) with non-negative costs.
-    start = (origin, 0)
-    best_cost: Dict[Tuple[NodeId, int], float] = {start: 0.0}
-    parent: Dict[Tuple[NodeId, int], Optional[Tuple[NodeId, int]]] = {start: None}
+    span = max_path_length + 1
+    start = origin * span
+    best_cost = [math.inf] * (len(neighbours) * span)
+    best_cost[start] = 0.0
+    parent: Dict[int, int] = {start: -1}
     counter = 0
-    heap: List[Tuple[float, int, Tuple[NodeId, int]]] = [(0.0, counter, start)]
-    best_target_state: Optional[Tuple[NodeId, int]] = None
+    heap = [(0.0, 0, start)]
+    pop, push = heapq.heappop, heapq.heappush
+    found = -1
     while heap:
-        cost, _, state = heapq.heappop(heap)
-        if cost > best_cost.get(state, float("inf")):
+        state_cost, _, state = pop(heap)
+        if state_cost > best_cost[state]:
             continue
-        node, hops = state
+        node = state // span
         if node == target:
-            best_target_state = state
+            found = state
             break
-        if hops >= max_path_length:
+        offset = state - node * span + 1
+        if offset > max_path_length:
             continue
-        for neighbor in graph.neighbors(node):
-            next_state = (neighbor, hops + 1)
-            next_cost = cost + (0.0 if neighbor == target else node_cost(neighbor))
-            if next_cost < best_cost.get(next_state, float("inf")):
+        for neighbor in neighbours[node]:
+            next_state = neighbor * span + offset
+            next_cost = state_cost - log_goodness[neighbor]
+            if next_cost < best_cost[next_state]:
                 best_cost[next_state] = next_cost
                 parent[next_state] = state
                 counter += 1
-                heapq.heappush(heap, (next_cost, counter, next_state))
-    if best_target_state is None:
+                push(heap, (next_cost, counter, next_state))
+    if found < 0:
         return None
-    path: List[NodeId] = []
-    state: Optional[Tuple[NodeId, int]] = best_target_state
-    while state is not None:
-        path.append(state[0])
-        state = parent[state]
+    path: List[int] = []
+    while found >= 0:
+        path.append(found // span)
+        found = parent[found]
     path.reverse()
     return path
 
 
 def _top_up(
-    graph: Graph,
-    goodness: Dict[NodeId, float],
-    selected: List[NodeId],
-    selected_set: set,
-    budget: int,
+    arrays: GraphArrays,
+    scores: List[float],
+    selected: List[int],
+    is_selected: List[bool],
+    room: int,
 ) -> None:
-    """Fill remaining budget with the best-scoring neighbours of the selection."""
-    while len(selected_set) < budget:
-        frontier = {
-            neighbor
-            for node in selected_set
-            for neighbor in graph.neighbors(node)
-            if neighbor not in selected_set
-        }
-        if not frontier:
+    """Add up to ``room`` best-scoring neighbours of the selection.
+
+    One heap over the frontier (unselected neighbours of the selection),
+    grown as vertices join; each pop is the frontier's maximum of
+    ``(goodness, repr(node))``, vertex ids having distinct reprs.
+    """
+    neighbours = arrays.neighbours
+    rank = arrays.repr_rank
+    queued = list(is_selected)
+    heap = []
+    for node in selected:
+        for neighbor in neighbours[node]:
+            if not queued[neighbor]:
+                queued[neighbor] = True
+                heap.append((-scores[neighbor], -rank[neighbor], neighbor))
+    heapq.heapify(heap)
+    for _ in range(room):
+        if not heap:
             break
-        best = max(frontier, key=lambda node: (goodness.get(node, 0.0), repr(node)))
-        selected_set.add(best)
+        best = heapq.heappop(heap)[2]
         selected.append(best)
+        for neighbor in neighbours[best]:
+            if not queued[neighbor]:
+                queued[neighbor] = True
+                heapq.heappush(heap, (-scores[neighbor], -rank[neighbor], neighbor))
 
 
 def extraction_summary(result: ExtractionResult, original: Graph) -> Dict[str, float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.graph import Graph, NodeId
 from ..graph.traversal import bfs_distances
@@ -50,7 +50,11 @@ def effective_diameter(
     Linear interpolation between integer hop counts follows the usual
     hop-plot convention so the value is comparable across graph sizes.
     """
-    histogram = hop_histogram(graph, sources)
+    return _effective_diameter_of(hop_histogram(graph, sources), percentile)
+
+
+def _effective_diameter_of(histogram: Dict[int, int], percentile: float) -> float:
+    """:func:`effective_diameter` of an already accumulated hop histogram."""
     if not histogram:
         return 0.0
     total = sum(histogram.values())
@@ -101,17 +105,53 @@ def hop_plot(
     ``sample_size`` limits the number of BFS sources; None means exact.
     """
     nodes = list(graph.nodes())
-    sampled = sample_size is not None and sample_size < len(nodes)
-    if sampled:
-        rng = random.Random(seed if seed is not None else 0)
-        sources = rng.sample(nodes, sample_size)  # type: ignore[arg-type]
-    else:
-        sources = nodes
+    sources = _sample_sources(nodes, sample_size, seed)
     return HopPlot(
         histogram=hop_histogram(graph, sources),
         num_sources=len(sources),
-        sampled=sampled,
+        sampled=sources is not nodes,
     )
+
+
+def _sample_sources(
+    nodes: List[NodeId], sample_size: Optional[int], seed: Optional[int]
+) -> List[NodeId]:
+    """The hop plot's BFS sources: ``nodes`` itself unless sampling applies."""
+    if sample_size is not None and sample_size < len(nodes):
+        rng = random.Random(seed if seed is not None else 0)
+        return rng.sample(nodes, sample_size)
+    return nodes
+
+
+def hop_diameters(
+    graph: Graph,
+    sample_size: Optional[int] = None,
+    seed: Optional[int] = None,
+    percentile: float = 0.9,
+) -> Tuple[int, float]:
+    """``(diameter, effective diameter)`` from one BFS per vertex.
+
+    The diameter is the largest hop of :func:`hop_plot` (the sampled plot
+    when ``sample_size`` samples, else :func:`exact_diameter`); the
+    effective diameter is always exact, as :func:`effective_diameter`
+    computes it.  Both come from one all-pairs pass (the sampled sources'
+    rows give the sampled diameter) instead of up to three passes.
+    """
+    nodes = list(graph.nodes())
+    sources = _sample_sources(nodes, sample_size, seed)
+    sampled = set(sources) if sources is not nodes else None
+    exact: Dict[int, int] = {}
+    sampled_max = 0
+    for source in nodes:
+        in_sample = sampled is not None and source in sampled
+        for distance in bfs_distances(graph, source).values():
+            if distance == 0:
+                continue
+            exact[distance] = exact.get(distance, 0) + 1
+            if in_sample and distance > sampled_max:
+                sampled_max = distance
+    diameter = sampled_max if sampled is not None else max(exact, default=0)
+    return diameter, _effective_diameter_of(exact, percentile)
 
 
 def average_shortest_path_length(graph: Graph) -> float:

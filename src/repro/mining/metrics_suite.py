@@ -16,7 +16,7 @@ from ..graph.graph import DiGraph, Graph, NodeId
 from ..graph.matrix import PreparedGraph
 from .components import number_strong_components, number_weak_components
 from .degree import DegreeSummary, degree_distribution, degree_summary
-from .hops import effective_diameter, exact_diameter, hop_plot
+from .hops import hop_diameters
 from .pagerank import pagerank, top_pagerank_nodes
 
 
@@ -95,13 +95,13 @@ def compute_subgraph_metrics(
             pagerank={},
             top_pagerank=[],
         )
-    plot = hop_plot(graph, sample_size=hop_sample_size, seed=seed)
+    diameter, effective = hop_diameters(graph, sample_size=hop_sample_size, seed=seed)
     scores = pagerank(graph, damping=pagerank_damping, prepared=prepared)
     return SubgraphMetrics(
         degree_histogram=degree_distribution(graph),
         degree_stats=degree_summary(graph),
-        diameter=plot.max_hop() if plot.sampled else exact_diameter(graph),
-        effective_diameter=effective_diameter(graph),
+        diameter=diameter,
+        effective_diameter=effective,
         num_weak_components=number_weak_components(graph),
         num_strong_components=number_strong_components(DiGraph.from_undirected(graph)),
         pagerank=scores,

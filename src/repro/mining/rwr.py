@@ -196,7 +196,7 @@ def rwr_power_iteration(
     total = rank.sum()
     if total > 0:
         rank = rank / total
-    scores = {index.node_at(i): float(rank[i]) for i in range(len(index))}
+    scores = dict(zip(index.nodes(), rank.tolist()))
     return RWRResult(
         scores=scores,
         iterations=iterations,
@@ -355,7 +355,7 @@ def _power_block_chunk(
         total = final.sum()
         if total > 0:
             final = final / total
-        scores = {index.node_at(i): float(final[i]) for i in range(n)}
+        scores = dict(zip(index.nodes(), final.tolist()))
         results.append(
             RWRResult(
                 scores=scores,
@@ -482,8 +482,7 @@ def _exact_result(
     total = solution.sum()
     if total > 0:
         solution = solution / total
-    n = len(index)
-    scores = {index.node_at(i): float(solution[i]) for i in range(n)}
+    scores = dict(zip(index.nodes(), solution.tolist()))
     return RWRResult(scores=scores, iterations=0, converged=True,
                      restart_probability=restart_probability)
 
@@ -653,30 +652,64 @@ def goodness_scores(
     if not per_source:
         raise MiningError("goodness_scores requires at least one RWR result")
     nodes = list(graph.nodes())
-    raw: Dict[NodeId, float] = {}
-    num_sources = len(per_source)
-    for node in nodes:
-        log_sum = 0.0
-        dead = False
-        for result in per_source.values():
-            probability = result.scores.get(node, 0.0)
-            if probability <= 0.0:
-                dead = True
-                break
-            log_sum += np.log(probability)
-        if dead:
-            raw[node] = 0.0
-            continue
-        value = float(np.exp(log_sum / num_sources))  # geometric mean
-        if degree_normalized:
-            degree = graph.weighted_degree(node)
-            if degree > 0:
-                value /= degree ** ((num_sources - 1) / num_sources) if num_sources > 1 else 1.0
-        raw[node] = value
-    peak = max(raw.values()) if raw else 0.0
-    if peak <= 0.0:
-        return raw
-    return {node: value / peak for node, value in raw.items()}
+    columns = [
+        np.fromiter((result.scores.get(node, 0.0) for node in nodes),
+                    dtype=np.float64, count=len(nodes))
+        for result in per_source.values()
+    ]
+    normaliser = None
+    if degree_normalized:
+        normaliser = degree_normaliser(
+            [graph.weighted_degree(node) for node in nodes], len(per_source)
+        )
+    return dict(zip(nodes, goodness_vector(columns, normaliser).tolist()))
+
+
+def degree_normaliser(
+    degrees: Sequence[float], num_sources: int
+) -> Optional[np.ndarray]:
+    """Per-vertex divisor ``d ** ((k - 1) / k)`` of the goodness score.
+
+    Python's ``**`` per vertex, not ``np.power``: the two round differently
+    on a few vertices in a thousand, and goodness bytes must not move.
+    Vertices of degree 0 divide by 1.0; one source needs no divisor
+    (``None``).
+    """
+    if num_sources <= 1:
+        return None
+    exponent = (num_sources - 1) / num_sources
+    return np.array(
+        [degree ** exponent if degree > 0 else 1.0 for degree in degrees],
+        dtype=np.float64,
+    )
+
+
+def goodness_vector(
+    columns: Sequence[np.ndarray], normaliser: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The goodness formula over aligned per-source score columns.
+
+    Column ``j`` holds source ``j``'s stationary probabilities in one
+    vertex order; the result is in that order.  Bit for bit the scalar
+    formula: log-probabilities are summed column by column from 0.0, the
+    geometric mean is ``exp(sum / k)``, a vertex with a probability <= 0
+    in any source scores 0.0, and everything is divided by the peak.
+    """
+    num_sources = len(columns)
+    log_sum = np.zeros(len(columns[0]))
+    dead = np.zeros(log_sum.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for column in columns:
+            dead |= column <= 0.0
+            log_sum += np.log(column)
+        raw = np.exp(log_sum / num_sources)
+        if normaliser is not None:
+            raw /= normaliser
+    raw[dead] = 0.0
+    peak = raw.max() if raw.size else 0.0
+    if not peak <= 0.0:
+        raw /= peak
+    return raw
 
 
 def meeting_probability(
