@@ -27,14 +27,14 @@
 #                      shipped HTTP client (keep-alive, one connection per
 #                      thread) and the in-process transport, incl. streamed
 #                      full-vector rates; writes benchmarks/BENCH_http.json
-#   make bench-kernels — prepared-vs-cold and blocked-vs-looped mining
-#                      kernel medians plus one-factorization blocked exact
-#                      RWR vs the per-set loop; writes
-#                      benchmarks/BENCH_kernels.json and FAILS if the
-#                      prepared path is slower than cold, if blocked exact
-#                      RWR diverges bitwise from the loop (checked before
-#                      any timing) or is below 2x it (the CI gate for the
-#                      prepared-kernel layer)
+#   make bench-kernels — prepared-vs-cold mining kernel medians plus
+#                      one-factorization blocked exact RWR vs the per-set
+#                      loop; writes benchmarks/BENCH_kernels.json and
+#                      FAILS if the prepared path is slower than cold, if
+#                      warm 8-source power RWR is below 3x the per-source
+#                      loop, if blocked exact RWR diverges bitwise from
+#                      the loop (checked before any timing) or is below
+#                      2x it (the CI gate for the prepared-kernel layer)
 #   make bench-mutate — incremental dataset.apply vs full-rebuild latency
 #                      plus warm-cache survival across a single-edge edit;
 #                      writes benchmarks/BENCH_mutate.json and FAILS if a

@@ -8,12 +8,11 @@ authors, seed 29):
   the kernel runs; multi-source RWR additionally pays one full solve per
   source (the pre-PR per-source loop);
 * **warm** — the kernel is handed the dataset's cached
-  :class:`~repro.graph.matrix.PreparedGraph`; multi-source RWR runs the
-  blocked solver (one sparse matmul per step for all sources).
+  :class:`~repro.graph.matrix.PreparedGraph`; multi-source RWR builds
+  nothing and runs one power loop per source over the prepared matrix.
 
 Reported per op: the median of ``REPEATS`` runs for each path and the
-speedup.  ``blocked_vs_looped`` isolates the blocking win alone (both
-sides warm).  The one-time preparation cost is reported honestly, as is
+speedup.  The one-time preparation cost is reported honestly, as is
 ``cpu_count`` — these speedups are work *avoidance*, not parallelism,
 so they hold on a single core.
 
@@ -45,7 +44,7 @@ import time
 from pathlib import Path
 
 from repro.data.dblp import DBLPConfig, generate_dblp
-from repro.graph.matrix import PreparedGraph
+from repro.graph.matrix import PreparedGraph, VertexIndex
 from repro.mining.connection_subgraph import extract_connection_subgraph
 from repro.mining.delivered_current import extract_delivered_current
 from repro.mining.metrics_suite import compute_subgraph_metrics
@@ -80,14 +79,10 @@ def median_seconds(fn, repeats: int = REPEATS) -> float:
     return statistics.median(times)
 
 
-def _large_case(authors: int):
-    """A larger graph + prepared view + sources for the blocking-only row."""
-    dataset = generate_dblp(DBLPConfig(num_authors=authors, seed=SEED))
-    prepared = PreparedGraph.from_graph(dataset.graph)
-    prepared.transition
-    rng = random.Random(SEED)
-    nodes = sorted(dataset.graph.nodes(), key=repr)
-    return dataset.graph, prepared, rng.sample(nodes, MULTI_SOURCES)
+def looped(solve, graph, sources):
+    """The cold per-source loop: one solve, with its own matrix build, per source."""
+    index = VertexIndex.from_graph(graph)
+    return {source: solve(graph, [source], index=index) for source in sources}
 
 
 def main() -> int:
@@ -107,7 +102,7 @@ def main() -> int:
     # blocked path solves every source set through one shared factor.
     failures = []
     blocked_exact = per_source_rwr(graph, sources, solver="exact", prepared=prepared)
-    looped_exact = per_source_rwr(graph, sources, solver="exact", blocked=False)
+    looped_exact = looped(rwr_exact, graph, sources)
     exact_parity = all(
         blocked_exact[source].scores == looped_exact[source].scores
         for source in sources
@@ -124,15 +119,15 @@ def main() -> int:
     community_prepared = PreparedGraph.from_graph(community)
 
     # (op, cold callable, warm callable) — cold re-derives matrices per
-    # call, warm reuses the PreparedGraph.  The multi-source rows pin the
-    # pre-PR per-source loop (blocked=False, no prepared) against the
-    # blocked solver over the prepared matrix.
+    # call, warm reuses the PreparedGraph.  The multi-source row pins the
+    # cold per-source loop (one matrix build per source) against
+    # per_source_rwr over the prepared matrix.
     rows = [
         ("rwr_single_8src",
          lambda: rwr_power_iteration(graph, sources),
          lambda: rwr_power_iteration(graph, sources, prepared=prepared)),
         ("rwr_multi_8src",
-         lambda: per_source_rwr(graph, sources, blocked=False),
+         lambda: looped(rwr_power_iteration, graph, sources),
          lambda: per_source_rwr(graph, sources, prepared=prepared)),
         ("rwr_exact_2src",
          lambda: rwr_exact(graph, pair),
@@ -190,42 +185,6 @@ def main() -> int:
                 f"({warm_median:.4f}s > {cold_median:.4f}s)"
             )
 
-    # Isolate the blocking win: both sides warm (prepared), loop vs one
-    # dense block.  Measured on the benchmark graph and on a larger one:
-    # at 900 authors per-iteration python overhead dominates and the two
-    # are near par — the bulk of the 8-source speedup there is conversion
-    # avoidance — while on bigger graphs the single CSR traversal per
-    # step pulls ahead.  Reported per size, honestly.
-    report["blocked_vs_looped"] = {}
-    for label, bench_graph, bench_prepared, bench_sources in (
-        ("benchmark_graph", graph, prepared, sources),
-        *(
-            (f"authors_{large_authors}",) + _large_case(large_authors)
-            for large_authors in (4000,)
-        ),
-    ):
-        warm_looped = median_seconds(
-            lambda: per_source_rwr(
-                bench_graph, bench_sources, blocked=False,
-                prepared=bench_prepared,
-            ),
-            repeats=3,
-        )
-        warm_blocked = median_seconds(
-            lambda: per_source_rwr(
-                bench_graph, bench_sources, prepared=bench_prepared
-            ),
-            repeats=3,
-        )
-        entry = {
-            "warm_looped_median_seconds": round(warm_looped, 6),
-            "warm_blocked_median_seconds": round(warm_blocked, 6),
-            "speedup": round(warm_looped / warm_blocked, 2),
-        }
-        report["blocked_vs_looped"][label] = entry
-        print(f"{'blocked_vs_looped':>22}: {label}: "
-              f"looped {warm_looped * 1e3:7.2f} ms | "
-              f"blocked {warm_blocked * 1e3:7.2f} ms | {entry['speedup']:.2f}x")
     print(f"{'prepare (one-time)':>22}: {prepare_seconds * 1e3:8.2f} ms")
 
     blocked_median = median_seconds(
@@ -233,7 +192,7 @@ def main() -> int:
         repeats=EXACT_BLOCK_REPEATS,
     )
     looped_median = median_seconds(
-        lambda: per_source_rwr(graph, sources, solver="exact", blocked=False),
+        lambda: looped(rwr_exact, graph, sources),
         repeats=EXACT_BLOCK_REPEATS,
     )
     exact_speedup = (

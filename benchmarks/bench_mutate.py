@@ -14,9 +14,6 @@ measures what partition-scoped invalidation actually buys:
   hit) vs the pre-mutability **full rebuild** (clone the graph + tree,
   edit out-of-band, register the result in a fresh service, answer the
   whole working set cold).
-* **RWR refresh** — the time a remembered steady-state query costs after
-  an edit with ``refresh_rwr=True`` (warm-refreshed during apply) vs
-  after a plain edit (cold solve on next ask).
 
 Exit status is the CI gate: non-zero when a one-edge edit invalidates
 **50% or more** of the warm working set — the acceptance criterion for
@@ -194,31 +191,6 @@ def main() -> int:
           f"requery {incremental_requery * 1e3:7.2f} ms | "
           f"full rebuild {full_rebuild * 1e3:8.2f} ms | "
           f"{report['latency']['speedup']:5.1f}x")
-
-    # ------------------------------------------------------------------ #
-    # RWR refresh: remembered steady states after the edit
-    # ------------------------------------------------------------------ #
-    sources = sorted(graph.nodes(), key=repr)[:4]
-    timings = {}
-    for mode, refresh in (("cold_solve", False), ("refreshed", True)):
-        with GMineService() as service:
-            service.register_tree(tree, graph=graph, name="g")
-            service.call("rwr", sources=sources)  # remembered by the keeper
-            apply_seconds_start = time.perf_counter()
-            service.apply_dataset("g", toggle(0), refresh_rwr=refresh)
-            apply_seconds = time.perf_counter() - apply_seconds_start
-            start = time.perf_counter()
-            service.call("rwr", sources=sources)
-            timings[mode] = {
-                "apply_seconds": round(apply_seconds, 6),
-                "first_rwr_seconds": round(time.perf_counter() - start, 6),
-            }
-    report["rwr_refresh"] = timings
-    print(f"post-edit rwr: cold "
-          f"{timings['cold_solve']['first_rwr_seconds'] * 1e3:7.2f} ms | "
-          f"refreshed {timings['refreshed']['first_rwr_seconds'] * 1e3:7.2f} ms"
-          f" (refresh paid inside apply: "
-          f"{timings['refreshed']['apply_seconds'] * 1e3:.2f} ms)")
 
     report["acceptance"] = {
         "invalidated_fraction": report["single_edge_edit"][

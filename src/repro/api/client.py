@@ -704,7 +704,6 @@ class GMineClient:
         self,
         name: str,
         script: Sequence[Dict[str, Any]],
-        refresh_rwr: bool = False,
     ) -> Dict[str, Any]:
         """Apply an edit script to a mutable dataset; returns the change report.
 
@@ -713,11 +712,8 @@ class GMineClient:
         cache entries the edit invalidated — everything a client needs to
         refresh its own derived state selectively.
         """
-        body: Dict[str, Any] = {"script": list(script)}
-        if refresh_rwr:
-            body["refresh_rwr"] = True
         status, payload, _ = self.transport.call(
-            "POST", f"/v1/datasets/{name}/apply", body
+            "POST", f"/v1/datasets/{name}/apply", {"script": list(script)}
         )
         self._check_envelope(status, payload)
         return {

@@ -413,7 +413,6 @@ def _run_dataset_apply(ctx: ServiceOpContext, args: Mapping[str, Any]):
     return ctx.service.apply_dataset(
         args["dataset"],
         [dict(edit) for edit in args["script"]],
-        refresh_rwr=args["refresh_rwr"],
     )
 
 
@@ -948,12 +947,6 @@ def _build_service_specs() -> List[OpSpec]:
                         "add_edge|remove_edge|update_node_attrs, ...}",
                     validate=_check_edit_script,
                     normalize=lambda value, ctx: [dict(edit) for edit in value],
-                ),
-                ArgSpec(
-                    "refresh_rwr", (bool,), default=False,
-                    doc="warm-refresh remembered RWR steady states onto the "
-                        "edited graph (within-tolerance; cold solve is the "
-                        "default and stays byte-exact)",
                 ),
             ),
             handler=_run_dataset_apply,

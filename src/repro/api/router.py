@@ -554,15 +554,16 @@ class ProtocolRouter:
     def apply_dataset(self, name: str, body: Mapping[str, Any]) -> Handled:
         """Alias of op ``dataset.apply``: edit a mutable dataset in place.
 
-        Body: ``{"script": [...], "refresh_rwr": bool}`` — validation,
-        canonicalization and dispatch all happen in the registry, exactly
-        as a ``POST /v1/query`` for ``dataset.apply`` would.
+        Body: ``{"script": [...]}``.  Every body field but ``dataset``
+        (which the path names) goes to the registry as an op arg, so
+        validation, canonicalization and dispatch — the rejection of an
+        unknown field included — happen exactly as a ``POST /v1/query``
+        for ``dataset.apply`` would.
         """
-        args: JsonDict = {"dataset": name}
-        if body.get("script") is not None:
-            args["script"] = body.get("script")
-        if body.get("refresh_rwr") is not None:
-            args["refresh_rwr"] = body.get("refresh_rwr")
+        args: JsonDict = {
+            key: value for key, value in body.items() if key != "dataset"
+        }
+        args["dataset"] = name
         return self._registry_call("dataset.apply", args)
 
     def subscribe(self, body: Mapping[str, Any]) -> Handled:

@@ -326,9 +326,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     if not isinstance(script, list):
         raise CLIError("edit script must be a JSON list of edit records")
     with GMineClient.http(args.url, auth_token=args.auth_token) as client:
-        report = client.apply_dataset(
-            args.dataset, script, refresh_rwr=args.refresh_rwr
-        )
+        report = client.apply_dataset(args.dataset, script)
     _print_json(report)
     return 0
 
@@ -752,9 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="edit script as inline JSON (list of records)")
     apply_cmd.add_argument("--script-file", default=None, dest="script_file",
                            help="read the edit script from a JSON file instead")
-    apply_cmd.add_argument("--refresh-rwr", action="store_true", dest="refresh_rwr",
-                           help="warm-refresh remembered RWR steady states whose "
-                                "community the edit touched")
     apply_cmd.add_argument("--auth-token", default=None, dest="auth_token",
                            help="bearer token for a server started with --auth-token")
     apply_cmd.set_defaults(func=cmd_apply)

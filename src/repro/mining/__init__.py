@@ -59,7 +59,6 @@ from .rwr import (
     per_source_rwr,
     rwr_exact,
     rwr_exact_block,
-    rwr_power_block,
     rwr_power_iteration,
     steady_state_rwr,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "per_source_rwr",
     "rwr_exact",
     "rwr_exact_block",
-    "rwr_power_block",
     "rwr_power_iteration",
     "steady_state_rwr",
     "strong_components",

@@ -153,7 +153,7 @@ def extract_connection_subgraph(
         dynamic program.
     prepared:
         A :class:`~repro.graph.matrix.PreparedGraph` for ``graph``; the
-        per-source RWR then runs blocked against the cached transition
+        per-source RWR then runs against the cached transition
         matrix, and the :class:`GraphArrays` of ``graph`` are memoised on
         it (for this graph object only).
     """

@@ -13,12 +13,11 @@ needs constantly:
 * :func:`common_neighbors`, :func:`jaccard_similarity`, :func:`adamic_adar`
   — cheap structural baselines the RWR scores can be compared against.
 
-Every RWR-backed query accepts ``prepared=`` and — the important part —
-the multi-walk queries (:func:`proximity`'s bidirectional pair,
-:func:`pairwise_proximity_matrix`'s all-pairs set) build **one**
-:class:`~repro.graph.matrix.PreparedGraph` and run all their walks as one
-blocked solve, instead of re-deriving the vertex index and transition
-matrix once per :func:`rwr_power_iteration` call as they used to.
+Every RWR-backed query accepts ``prepared=``, and the multi-walk queries
+(:func:`proximity`'s bidirectional pair, :func:`pairwise_proximity_matrix`'s
+all-pairs set) build **one** :class:`~repro.graph.matrix.PreparedGraph`
+for all their walks through :func:`~repro.mining.rwr.per_source_rwr`,
+instead of re-deriving the vertex index and transition matrix per walk.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..errors import MiningError
 from ..graph.graph import Graph, NodeId
 from ..graph.matrix import PreparedGraph
-from .rwr import rwr_power_block, rwr_power_iteration
+from .rwr import per_source_rwr, rwr_power_iteration
 
 
 def _prepare(graph: Optional[Graph], prepared: Optional[PreparedGraph]) -> PreparedGraph:
@@ -82,8 +81,7 @@ def proximity(
 
     With ``symmetric`` (default) the geometric mean of the two directed
     scores is returned, which is the usual symmetrisation for undirected
-    relevance.  Both directed walks share one prepared transition matrix
-    and run as a single blocked solve.
+    relevance.  Both directed walks share one prepared transition matrix.
     """
     if not symmetric:
         forward = rwr_power_iteration(
@@ -91,15 +89,14 @@ def proximity(
             prepared=prepared,
         )
         return forward.scores.get(target, 0.0)
-    shared = _prepare(graph, prepared)
-    forward, backward = rwr_power_block(
+    walks = per_source_rwr(
         graph,
-        [[source], [target]],
+        [source, target],
         restart_probability=restart_probability,
-        prepared=shared,
+        prepared=_prepare(graph, prepared),
     )
-    score_forward = forward.scores.get(target, 0.0)
-    score_backward = backward.scores.get(source, 0.0)
+    score_forward = walks[source].scores.get(target, 0.0)
+    score_backward = walks[target].scores.get(source, 0.0)
     return math.sqrt(max(score_forward, 0.0) * max(score_backward, 0.0))
 
 
@@ -112,21 +109,19 @@ def pairwise_proximity_matrix(
     """Return symmetric RWR proximities for every pair of ``vertices``.
 
     Runs one RWR per vertex (not per pair), so the cost is linear in the
-    number of query vertices — and all of them run as one blocked solve
-    over one shared :class:`~repro.graph.matrix.PreparedGraph`, so the
-    vertex index and transition matrix are derived exactly once.
+    number of query vertices — and all of them share one
+    :class:`~repro.graph.matrix.PreparedGraph`, so the vertex index and
+    transition matrix are derived exactly once.
     """
     vertices = list(dict.fromkeys(vertices))
     if len(vertices) < 2:
         raise MiningError("pairwise proximity needs at least two distinct vertices")
-    shared = _prepare(graph, prepared)
-    solved = rwr_power_block(
+    distributions = per_source_rwr(
         graph,
-        [[vertex] for vertex in vertices],
+        vertices,
         restart_probability=restart_probability,
-        prepared=shared,
+        prepared=_prepare(graph, prepared),
     )
-    distributions = dict(zip(vertices, solved))
     matrix: Dict[Tuple[NodeId, NodeId], float] = {}
     for i, a in enumerate(vertices):
         for b in vertices[i + 1:]:

@@ -8,19 +8,20 @@ visit probabilities.
 
 Two solvers are provided:
 
-* :func:`rwr_power_iteration` — sparse power iteration, scales to the full
-  synthetic DBLP graph;
+* power iteration — :func:`power_loop`, the one loop every power caller
+  runs (:func:`rwr_power_iteration`, :func:`steady_state_rwr`,
+  :func:`per_source_rwr`, the proximity queries and the sharded
+  backend's scatter-gather), one restart vector at a time over a
+  ``W @ r`` product callable; it scales to the full synthetic DBLP graph;
 * :func:`rwr_exact` — direct solve of ``(I - (1 - c) W) r = c q``, used to
-  validate the iterative solver and in the ablation benchmark.
+  validate the iterative solver and in the ablation benchmark;
+  :func:`rwr_exact_block` solves k restart vectors against one LU factor.
 
 Every solver accepts ``prepared=`` — a
 :class:`~repro.graph.matrix.PreparedGraph` holding the CSR transition
 matrix and vertex index built once per dataset — and skips the O(E)
-graph-to-matrix conversion when it is given.  Multi-source workloads go
-through :func:`rwr_power_block`, which iterates an ``n x k`` dense block so
-``k`` restart vectors cost one sparse matmul per step instead of ``k``
-independent solves; per-column convergence freezing keeps the blocked
-results **bit-identical** to the per-source loop.
+graph-to-matrix conversion when it is given.  Multi-source callers build
+the matrix once and run one column per source set.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -173,272 +173,111 @@ def rwr_power_iteration(
     _validate_restart(restart_probability)
     transition, index = _resolve_operator(graph, index, prepared)
     _check_sources(graph, index, sources)
-    q = restart_vector(index, sources)
-    c = restart_probability
-    rank = q.copy()
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        updated = (1.0 - c) * (transition @ rank) + c * q
-        delta = np.abs(updated - rank).sum()
-        rank = updated
-        if delta < tol:
-            converged = True
-            break
-    if not converged and strict:
+    result = power_loop(
+        transition.dot, index, sources, restart_probability, tol, max_iter
+    )
+    if strict and not result.converged:
         raise ConvergenceError(
             f"RWR did not converge within {max_iter} iterations (tol={tol})"
         )
-    # Columns of isolated/dangling vertices leak mass; a single final
-    # renormalisation (matching rwr_exact) keeps the two solvers' fixed
-    # points identical — renormalising inside the loop would converge to a
-    # slightly different distribution whenever a source is dangling.
+    return result
+
+
+def power_loop(
+    product: Callable[[np.ndarray], np.ndarray],
+    index: VertexIndex,
+    sources: Sequence[NodeId],
+    restart_probability: float,
+    tol: float,
+    max_iter: int,
+) -> RWRResult:
+    """Iterate ``r <- (1 - c) product(r) + c q`` for one restart vector.
+
+    The package's one power loop.  ``product`` supplies ``W @ r``: a CSR
+    matvec in process, or the sharded backend's scatter-gather over shard
+    row blocks.  Two buffers are swapped and updated in place, so a step
+    allocates only what ``product`` returns.  The loop stops after the
+    first step whose L1 change is below ``tol``, or after ``max_iter``
+    steps with ``converged=False``; callers decide whether that is an
+    error.
+
+    Columns of isolated/dangling vertices leak mass; a single final
+    renormalisation (matching :func:`rwr_exact`) keeps the two solvers'
+    fixed points identical.  Renormalising inside the loop would converge
+    to a slightly different distribution whenever a source is dangling.
+    """
+    c = restart_probability
+    rank = restart_vector(index, sources)
+    restart = c * rank
+    updated = np.empty_like(rank)
+    change = np.empty_like(rank)
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        np.multiply(product(rank), 1.0 - c, out=updated)
+        np.add(updated, restart, out=updated)
+        np.subtract(updated, rank, out=change)
+        np.abs(change, out=change)
+        rank, updated = updated, rank
+        if change.sum() < tol:
+            converged = True
+            break
     total = rank.sum()
     if total > 0:
-        rank = rank / total
-    scores = dict(zip(index.nodes(), rank.tolist()))
+        rank /= total
     return RWRResult(
-        scores=scores,
+        scores=dict(zip(index.nodes(), rank.tolist())),
         iterations=iterations,
         converged=converged,
         restart_probability=c,
     )
 
 
-#: Maximum columns iterated as one dense block.  Bounds the transient
-#: memory of :func:`rwr_power_block` at O(n * chunk) — a caller passing
-#: hundreds of source sets on a large graph must not allocate an
-#: n x k monster where the old per-source loop peaked at a few vectors.
-#: Columns are independent, so chunking never changes a result.
-BLOCK_COLUMN_CHUNK = 64
-
-
-def rwr_power_block(
-    graph: Optional[Graph],
-    source_sets: Sequence[Sequence[NodeId]],
-    restart_probability: float = 0.15,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    index: Optional[VertexIndex] = None,
-    strict: bool = True,
-    prepared: Optional[PreparedGraph] = None,
-    warm_starts: Optional[Sequence[Optional[Dict[NodeId, float]]]] = None,
-) -> List[RWRResult]:
-    """Blocked multi-source power iteration: k steady states, one matmul/step.
-
-    Stacks one restart vector per entry of ``source_sets`` into an
-    ``n x k`` dense block and iterates ``R <- (1 - c) W R + c Q``, so every
-    step pays a single sparse matmul (one CSR traversal amortised over all
-    columns) instead of ``k`` independent matvecs — and, on the cold path,
-    instead of ``k`` O(E) matrix rebuilds.  More than
-    :data:`BLOCK_COLUMN_CHUNK` source sets run as successive chunks, so
-    peak memory stays O(n * chunk) regardless of ``k``.
-
-    Bit-parity with the per-source loop is engineered, not approximate:
-
-    * CSR multi-vector products accumulate each output element over the
-      row's nonzeros in the same order as the single-vector product;
-    * every order-sensitive float reduction (the per-column convergence
-      delta, the final renormalisation sum) runs over a freshly
-      materialised contiguous 1-D array, so numpy's pairwise summation
-      applies with exactly the blocking :func:`rwr_power_iteration` sees;
-    * a column that converges is **frozen** (never written again) rather
-      than iterated further, so its returned iterate is the very vector
-      the per-source loop would have stopped at.  The matmul still spans
-      the full block — a C-contiguous operand reaches scipy without a
-      copy, which beats slicing the active columns out every step — and
-      frozen columns' products are simply discarded.
-
-    ``warm_starts`` optionally supplies, per source set, the score dict of
-    a previously computed steady state to seed the iteration from instead
-    of the restart vector.  After a *small* graph delta the previous fixed
-    point is already near the new one, so a warm-started column converges
-    in a handful of steps.  The fixed point of the contraction is unique,
-    so warm starting changes only the trajectory: the returned iterate
-    agrees with the cold solve within the convergence tolerance (not
-    bitwise — callers that need bit-parity with a cold solve, like the
-    service's default query path, must not pass warm starts).  Entries may
-    be ``None`` (that column starts cold); scores for vertices no longer
-    in the graph are dropped and new vertices seed at zero.
-    """
-    _validate_restart(restart_probability)
-    if not source_sets:
-        raise MiningError("rwr block requires at least one source set")
-    if warm_starts is not None and len(warm_starts) != len(source_sets):
-        raise MiningError(
-            f"rwr block got {len(warm_starts)} warm starts "
-            f"for {len(source_sets)} source sets"
-        )
-    transition, index = _resolve_operator(graph, index, prepared)
-    for sources in source_sets:
-        _check_sources(graph, index, sources)
-    if len(source_sets) > BLOCK_COLUMN_CHUNK:
-        results: List[RWRResult] = []
-        for start in range(0, len(source_sets), BLOCK_COLUMN_CHUNK):
-            stop = start + BLOCK_COLUMN_CHUNK
-            results.extend(
-                _power_block_chunk(
-                    transition, index, source_sets[start:stop],
-                    restart_probability, tol, max_iter, strict,
-                    warm_starts=None if warm_starts is None else warm_starts[start:stop],
-                )
-            )
-        return results
-    return _power_block_chunk(
-        transition, index, source_sets, restart_probability, tol, max_iter, strict,
-        warm_starts=warm_starts,
-    )
-
-
-def _power_block_chunk(
-    transition,
+def power_columns(
+    product: Callable[[np.ndarray], np.ndarray],
     index: VertexIndex,
     source_sets: Sequence[Sequence[NodeId]],
     restart_probability: float,
     tol: float,
     max_iter: int,
-    strict: bool,
-    warm_starts: Optional[Sequence[Optional[Dict[NodeId, float]]]] = None,
+    graph: Optional[Graph] = None,
 ) -> List[RWRResult]:
-    """Iterate one bounded block of restart columns to their steady states."""
-    n = len(index)
-    k = len(source_sets)
-    c = restart_probability
-    q_block = np.zeros((n, k))
-    for column, sources in enumerate(source_sets):
-        q_block[:, column] = restart_vector(index, sources)
-    rank = q_block.copy()
-    if warm_starts is not None:
-        for column, warm in enumerate(warm_starts):
-            if not warm:
-                continue
-            seed = np.zeros(n)
-            for position in range(n):
-                seed[position] = warm.get(index.node_at(position), 0.0)
-            total = seed.sum()
-            # An all-zero or degenerate seed (every previous vertex edited
-            # away) keeps the cold restart-vector start for that column.
-            if total > 0:
-                rank[:, column] = seed / total
-    # Hoisted restart term: c * q is loop-invariant, and multiplying once
-    # up front yields the same floats the per-source loop recomputes each
-    # step — parity-safe, one fewer array op per column per iteration.
-    restart_block = c * q_block
-    iterations = [0] * k
-    converged = [False] * k
-    active = list(range(k))
-    step = 0
-    while active and step < max_iter:
-        step += 1
-        product = transition @ rank
-        still_active = []
-        for column in active:
-            updated = (1.0 - c) * product[:, column] + restart_block[:, column]
-            delta = np.abs(updated - rank[:, column]).sum()
-            rank[:, column] = updated
-            iterations[column] = step
-            if delta < tol:
-                converged[column] = True
-            else:
-                still_active.append(column)
-        active = still_active
-    if active and strict:
+    """One :func:`power_loop` per source set, all required to converge.
+
+    Every set's sources are checked (against ``graph`` when given, else
+    ``index``) before any column iterates; a failure names how many of
+    the sets did not converge.
+    """
+    for sources in source_sets:
+        _check_sources(graph, index, sources)
+    results = [
+        power_loop(product, index, sources, restart_probability, tol, max_iter)
+        for sources in source_sets
+    ]
+    stuck = sum(1 for result in results if not result.converged)
+    if stuck:
         raise ConvergenceError(
             f"RWR did not converge within {max_iter} iterations (tol={tol}) "
-            f"for {len(active)} of {k} source sets"
-        )
-    results: List[RWRResult] = []
-    for column in range(k):
-        # Contiguous copy first: the renormalisation sum must reduce in
-        # the same (pairwise, unit-stride) order as the per-source path.
-        final = np.ascontiguousarray(rank[:, column])
-        total = final.sum()
-        if total > 0:
-            final = final / total
-        scores = dict(zip(index.nodes(), final.tolist()))
-        results.append(
-            RWRResult(
-                scores=scores,
-                iterations=iterations[column],
-                converged=converged[column],
-                restart_probability=c,
-            )
+            f"for {stuck} of {len(results)} source sets"
         )
     return results
 
 
-def refresh_rwr(
+def _power_solve(
     graph: Optional[Graph],
     source_sets: Sequence[Sequence[NodeId]],
-    previous: Sequence[Optional[RWRResult]],
-    restart_probability: float = 0.15,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    strict: bool = True,
-    prepared: Optional[PreparedGraph] = None,
-) -> Tuple[List[RWRResult], List[bool]]:
-    """Incrementally refresh steady states after a small graph delta.
-
-    Re-solves each source set's RWR on the (edited) ``graph``, seeding the
-    power iteration from the matching entry of ``previous`` — the steady
-    states computed before the edit.  For a delta touching a few edges the
-    previous fixed point is close to the new one, so warm columns converge
-    in a fraction of the cold iteration count; the unique fixed point of
-    the contraction guarantees the refreshed state matches a full cold
-    recompute within the convergence tolerance.
-
-    The fallback is explicit, not best-effort: any warm-started column
-    that fails to converge within ``max_iter`` is re-solved **cold from
-    scratch** (the exact path a fresh query would take), so a pathological
-    seed can degrade latency but never the answer.  A ``previous`` entry
-    is only used when it converged under the same restart probability;
-    anything else starts cold.
-
-    Returns ``(results, refreshed)`` where ``refreshed[i]`` tells whether
-    source set ``i`` was served by the warm path.
-    """
-    if len(previous) != len(source_sets):
-        raise MiningError(
-            f"refresh_rwr got {len(previous)} previous states "
-            f"for {len(source_sets)} source sets"
-        )
-    warm: List[Optional[Dict[NodeId, float]]] = []
-    for prior in previous:
-        usable = (
-            prior is not None
-            and prior.converged
-            and prior.restart_probability == restart_probability
-        )
-        warm.append(dict(prior.scores) if usable else None)
-    results = rwr_power_block(
-        graph, source_sets, restart_probability,
-        tol=tol, max_iter=max_iter, strict=False, prepared=prepared,
-        warm_starts=warm,
+    restart_probability: float,
+    tol: float,
+    max_iter: int,
+    prepared: Optional[PreparedGraph],
+) -> List[RWRResult]:
+    """:func:`power_columns` over ``graph``'s (or ``prepared``'s) matrix."""
+    _validate_restart(restart_probability)
+    transition, index = _resolve_operator(graph, None, prepared)
+    return power_columns(
+        transition.dot, index, source_sets, restart_probability, tol,
+        max_iter, graph=graph,
     )
-    fallback = [
-        column for column, result in enumerate(results)
-        if warm[column] is not None and not result.converged
-    ]
-    if fallback:
-        cold = rwr_power_block(
-            graph, [source_sets[column] for column in fallback],
-            restart_probability, tol=tol, max_iter=max_iter, strict=False,
-            prepared=prepared,
-        )
-        for column, result in zip(fallback, cold):
-            results[column] = result
-    if strict:
-        stuck = sum(1 for result in results if not result.converged)
-        if stuck:
-            raise ConvergenceError(
-                f"RWR refresh did not converge within {max_iter} iterations "
-                f"(tol={tol}) for {stuck} of {len(results)} source sets"
-            )
-    refreshed = [
-        warm[column] is not None and column not in fallback
-        for column in range(len(results))
-    ]
-    return results, refreshed
 
 
 def rwr_exact(
@@ -541,11 +380,11 @@ def steady_state_rwr(
 
     A pure function of its arguments: the source set is deduplicated and
     order-normalised (the restart vector spreads mass uniformly over the
-    set, so order never matters), and ``solver`` picks between
-    :func:`rwr_power_iteration` (``"power"``) and :func:`rwr_exact`
-    (``"exact"``).  The service layer keys its result cache on exactly
-    these arguments; ``prepared`` (never part of the key) only skips the
-    matrix rebuild.
+    set, so order never matters), and ``solver`` picks between the power
+    loop (``"power"``, bit-identical to :func:`rwr_power_iteration`) and
+    :func:`rwr_exact` (``"exact"``).  The service layer keys its result
+    cache on exactly these arguments; ``prepared`` (never part of the
+    key) only skips the matrix rebuild.
     """
     canonical_sources = sorted(set(sources), key=repr)
     if solver == "exact":
@@ -553,13 +392,9 @@ def steady_state_rwr(
             graph, canonical_sources, restart_probability, prepared=prepared
         )
     if solver == "power":
-        # One source set is one column of the blocked solver — routing
-        # through it keeps a single power-iteration code path for the
-        # service's single- and multi-source traffic (bit-identical to
-        # rwr_power_iteration by the block solver's parity contract).
-        return rwr_power_block(
-            graph, [canonical_sources], restart_probability,
-            tol=tol, max_iter=max_iter, prepared=prepared,
+        return _power_solve(
+            graph, [canonical_sources], restart_probability, tol, max_iter,
+            prepared,
         )[0]
     raise MiningError(f"unknown RWR solver {solver!r}; expected 'power' or 'exact'")
 
@@ -572,65 +407,29 @@ def per_source_rwr(
     tol: float = 1e-10,
     max_iter: int = 500,
     prepared: Optional[PreparedGraph] = None,
-    blocked: bool = True,
 ) -> Dict[NodeId, RWRResult]:
     """Run one independent RWR per source node (as the paper prescribes).
 
-    The power solver runs all sources as one :func:`rwr_power_block` by
-    default — one sparse matmul per step for the whole set instead of one
-    solve per source — and the exact solver as one
-    :func:`rwr_exact_block` — one LU factorization for the whole set.
-    Both are bit-identical to the per-source loop (``blocked=False``
-    keeps the loop available for parity testing).
+    The matrix is built (or taken from ``prepared``) once for all sources.
+    The power solver then runs one :func:`power_loop` per source, and the
+    exact solver one :func:`rwr_exact_block`, which is one LU
+    factorization for the whole set.
     """
-    if prepared is not None:
-        index = prepared.index
-    elif graph is not None:
-        index = VertexIndex.from_graph(graph)
-    else:
+    if prepared is None and graph is None:
         raise MiningError("rwr requires a graph when no prepared= is given")
-    results: Dict[NodeId, RWRResult] = {}
-    if solver == "exact" and blocked and sources:
-        # One factorization, k solves — bit-identical to the loop below.
-        ordered = list(sources)
-        block = rwr_exact_block(
-            graph,
-            [[source] for source in ordered],
-            restart_probability,
-            index=None if prepared is not None else index,
-            prepared=prepared,
+    ordered = list(sources)
+    if not ordered:
+        return {}
+    source_sets = [[source] for source in ordered]
+    if solver == "exact":
+        solved = rwr_exact_block(
+            graph, source_sets, restart_probability, prepared=prepared
         )
-        return dict(zip(ordered, block))
-    if solver != "exact" and blocked and sources:
-        ordered = list(sources)
-        block = rwr_power_block(
-            graph,
-            [[source] for source in ordered],
-            restart_probability,
-            tol=tol,
-            max_iter=max_iter,
-            index=None if prepared is not None else index,
-            prepared=prepared,
+    else:
+        solved = _power_solve(
+            graph, source_sets, restart_probability, tol, max_iter, prepared
         )
-        return dict(zip(ordered, block))
-    for source in sources:
-        if solver == "exact":
-            results[source] = rwr_exact(
-                graph, [source], restart_probability,
-                index=None if prepared is not None else index,
-                prepared=prepared,
-            )
-        else:
-            results[source] = rwr_power_iteration(
-                graph,
-                [source],
-                restart_probability,
-                tol=tol,
-                max_iter=max_iter,
-                index=None if prepared is not None else index,
-                prepared=prepared,
-            )
-    return results
+    return dict(zip(ordered, solved))
 
 
 def goodness_scores(

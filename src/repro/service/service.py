@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,7 +55,6 @@ from ..core.session import ExplorationSession
 from ..errors import GMineError, InvalidArgumentError, ServiceError
 from ..graph.graph import Graph
 from ..graph.io import load_graph_auto
-from ..mining.rwr import RWRResult, refresh_rwr
 from ..storage.gtree_store import GTreeStore, save_gtree
 from .cache import ResultCache, SQLiteCacheStore, StaleServe
 from .datasets import DEFAULT_DATASET, DatasetHandle, DatasetRegistry
@@ -65,9 +64,6 @@ from .resilience import Deadline
 from .sessions import DEFAULT_SESSION_TTL, ServiceSession, SessionManager
 
 logger = logging.getLogger(__name__)
-
-#: Steady states remembered per dataset for incremental RWR refresh.
-RWR_KEEPER_CAPACITY = 32
 
 #: Server-side ceiling on one ``dataset.subscribe`` long-poll wait.  Clients
 #: wanting to wait longer re-issue the poll from the returned ``next_since``.
@@ -230,10 +226,6 @@ class GMineService:
         # small ring buffer at most.
         self._feeds: Dict[str, ChangeFeed] = {}
         self._closing = False
-        # Per-dataset LRU of the most recent converged power-iteration
-        # steady states, keyed by canonical args (no fingerprint): the warm
-        # starts ``dataset.apply {refresh_rwr: true}`` reseeds from.
-        self._rwr_states: Dict[str, "OrderedDict[Tuple, Dict[str, Any]]"] = {}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -391,7 +383,6 @@ class GMineService:
         self,
         name: Optional[str] = None,
         script: Sequence[Dict[str, Any]] = (),
-        refresh_rwr: bool = False,
     ) -> Dict[str, Any]:
         """Apply an edit script to a mutable dataset (``dataset.apply``).
 
@@ -400,20 +391,13 @@ class GMineService:
         service-side bookkeeping the swap mandates: drops every cached
         result keyed by the previous **root** fingerprint or by a retired
         partition sub-fingerprint (entries for untouched communities keep
-        their keys and survive), optionally warm-refreshes the remembered
-        RWR steady states whose scope was touched (``refresh_rwr=True`` —
-        results match a cold solve within the convergence tolerance, with
-        an explicit cold fallback; the default query path stays cold and
-        bitwise-reproducible), and publishes the change event subscribers
+        their keys and survive), and publishes the change event subscribers
         long-polling ``dataset.subscribe`` are waiting on.
         """
         report = self.registry_of_datasets.apply(name, list(script))
         report["invalidated"] = self._invalidate_for(report)
         if report["changed"]:
-            handle = self._dataset(report["dataset"])
-            if refresh_rwr:
-                report["rwr_refresh"] = self._refresh_rwr_states(handle, report)
-            self._warm_backend(handle)
+            self._warm_backend(self._dataset(report["dataset"]))
             self._publish_change(report, kind="apply")
         return report
 
@@ -1121,11 +1105,8 @@ class GMineService:
         key = spec.cache_key(self._scope_fp(handle, spec, canonical), canonical)
         value = self.cache.get_or_compute(key, compute, stale_ok=True)
         if isinstance(value, StaleServe):
-            # Expired entry served because the backend failed: honest flags,
-            # and no warm-start bookkeeping from possibly-outdated numbers.
+            # Expired entry served because the backend failed: honest flags.
             return value.value, True, True
-        if operation == "rwr":
-            self._remember_rwr(handle, canonical, value)
         return value, not performed, False
 
     @staticmethod
@@ -1140,93 +1121,6 @@ class GMineService:
         if spec.partition_arg is None:
             return handle.fingerprint
         return handle.scope_fingerprint(canonical.get(spec.partition_arg))
-
-    # ------------------------------------------------------------------ #
-    # incremental RWR refresh
-    # ------------------------------------------------------------------ #
-    def _remember_rwr(self, handle: DatasetHandle, canonical, value) -> None:
-        """Record a converged power-iteration steady state as a warm start."""
-        if canonical.get("solver") != "power":
-            return
-        if not isinstance(value, RWRResult) or not value.converged:
-            return
-        spec = self.registry.get("rwr")
-        key = spec.cache_fields(canonical)
-        with self._lock:
-            keeper = self._rwr_states.setdefault(handle.name, OrderedDict())
-            keeper[key] = {"canonical": dict(canonical), "result": value}
-            keeper.move_to_end(key)
-            while len(keeper) > RWR_KEEPER_CAPACITY:
-                keeper.popitem(last=False)
-
-    def _refresh_rwr_states(
-        self, handle: DatasetHandle, report: Dict[str, Any]
-    ) -> Dict[str, int]:
-        """Warm-refresh remembered steady states whose scope an edit touched.
-
-        Each entry is re-solved on the edited content seeded from its
-        pre-edit fixed point (:func:`~repro.mining.rwr.refresh_rwr`), and
-        installed in the cache under its **new** scoped key — so the first
-        query after the edit hits warm.  Entries scoped to an untouched
-        community are skipped outright: their cache entries survived the
-        edit by key construction, and overwriting a surviving cold result
-        with a warm one would trade bitwise reproducibility for nothing.
-        Entries whose sources vanished from the edited graph are dropped.
-        """
-        spec = self.registry.get("rwr")
-        changed_labels = set(report.get("changed_partitions", {}))
-        with self._lock:
-            keeper = self._rwr_states.get(handle.name)
-            entries = list(keeper.items()) if keeper else []
-        counts = {"entries": len(entries), "refreshed": 0, "cold": 0,
-                  "skipped": 0, "dropped": 0}
-        for key, entry in entries:
-            canonical = entry["canonical"]
-            scope = canonical.get("community")
-            touched = (
-                scope is None
-                or scope in changed_labels
-                # A scope the edited tree cannot resolve keys on the root
-                # now; its old sub-fingerprint entry is gone either way.
-                or handle.scope_fingerprint(scope) == handle.fingerprint
-            )
-            if not touched:
-                counts["skipped"] += 1
-                continue
-            try:
-                engine = handle.make_engine()
-                ctx = OpContext(
-                    engine=engine, prepared_provider=handle.prepared_provider
-                )
-                subgraph = ctx.community_subgraph(scope)
-                results, warm = refresh_rwr(
-                    subgraph,
-                    [canonical["sources"]],
-                    [entry["result"]],
-                    restart_probability=canonical["restart_probability"],
-                    strict=False,
-                    prepared=ctx.prepared_for(scope, subgraph),
-                )
-            except GMineError:
-                with self._lock:
-                    keeper = self._rwr_states.get(handle.name)
-                    if keeper is not None:
-                        keeper.pop(key, None)
-                counts["dropped"] += 1
-                continue
-            result = results[0]
-            if not result.converged:
-                counts["dropped"] += 1
-                continue
-            counts["refreshed" if warm[0] else "cold"] += 1
-            self.cache.put(
-                spec.cache_key(self._scope_fp(handle, spec, canonical), canonical),
-                result,
-            )
-            with self._lock:
-                self._compute_counts["rwr_refresh"] += 1
-            self._remember_rwr(handle, canonical, result)
-        return counts
 
     def _execute_op(
         self,

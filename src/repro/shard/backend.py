@@ -516,7 +516,7 @@ class ShardedBackend(ExecutionBackend):
                     self._abandon(deadline)
                 except BaseException as error:
                     raise _ScatterTransportError(str(error)) from error
-                product[state.rows[shard_id], :] = partial
+                product[state.rows[shard_id]] = partial
             return product
 
         return matvec

@@ -1,20 +1,19 @@
-"""Scatter-gather RWR: the blocked power iteration with a pluggable matvec.
+"""Scatter-gather RWR: the shared power loop over a distributed matvec.
 
-:func:`scatter_rwr` is a line-for-line mirror of the single-column path
-through :func:`repro.mining.rwr._power_block_chunk` — same restart-vector
-construction, same update/delta/convergence expressions, same
-normalisation and the same strict :class:`ConvergenceError` — except the
-``transition @ rank`` product is supplied by a caller-provided callable.
+:func:`scatter_rwr` runs :func:`repro.mining.rwr.power_columns` — the
+same loop, canonical source order and strict :class:`ConvergenceError`
+as ``steady_state_rwr(..., solver="power")`` — with the ``W @ r``
+product supplied by a caller-provided callable.
 
 Why this is *exactly* the monolithic result and not an approximation:
-CSR matrix–dense products accumulate each output row independently, in
-the row's stored-nonzero order.  Slicing the transition matrix into row
-blocks ``W[rows_s, :]`` preserves each row's stored order, so a shard's
-partial product is bitwise the corresponding rows of the full product,
-and scattering the partials back into place reconstructs ``W @ rank``
-bit-for-bit.  Every remaining arithmetic step then runs in the parent
-with the very same expressions as the unsharded kernel, so the final
-scores are byte-identical by construction (CI-gated, not just asserted).
+CSR matrix–vector products accumulate each output element independently,
+in the row's stored-nonzero order.  Slicing the transition matrix into
+row blocks ``W[rows_s, :]`` preserves each row's stored order, so a
+shard's partial product is bitwise the corresponding rows of the full
+product, and scattering the partials back into place reconstructs
+``W @ r`` bit-for-bit.  Every remaining arithmetic step runs in the
+parent in the shared loop, so the final scores are byte-identical by
+construction (CI-gated, not just asserted).
 """
 
 from __future__ import annotations
@@ -23,11 +22,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConvergenceError
-from ..graph.matrix import VertexIndex, restart_vector
-from ..mining.rwr import RWRResult, _check_sources, _validate_restart
+from ..graph.matrix import VertexIndex
+from ..mining.rwr import RWRResult, _validate_restart, power_columns
 
-#: ``(rank_block) -> product_block`` supplying ``transition @ rank``.
+#: ``(rank) -> product`` supplying ``transition @ rank`` for a 1-D vector.
 Matvec = Callable[[np.ndarray], np.ndarray]
 
 
@@ -39,57 +37,9 @@ def scatter_rwr(
     tol: float = 1e-10,
     max_iter: int = 500,
 ) -> RWRResult:
-    """Steady-state RWR for one source set through a distributed matvec.
-
-    Mirrors ``steady_state_rwr(..., solver="power")`` exactly: canonical
-    source ordering, k=1 blocked iteration, strict convergence, and the
-    final L1 renormalisation.
-    """
+    """Steady-state RWR for one source set through a distributed matvec."""
     _validate_restart(restart_probability)
     canonical_sources = sorted(set(sources), key=repr)
-    _check_sources(None, index, canonical_sources)
-
-    n = len(index)
-    k = 1
-    c = restart_probability
-    q_block = np.zeros((n, k))
-    q_block[:, 0] = restart_vector(index, canonical_sources)
-    rank = q_block.copy()
-    restart_block = c * q_block
-    iterations = [0] * k
-    converged = [False] * k
-
-    active = list(range(k))
-    step = 0
-    while active and step < max_iter:
-        step += 1
-        product = matvec(rank)
-        still_active = []
-        for column in active:
-            updated = (1.0 - c) * product[:, column] + restart_block[:, column]
-            delta = np.abs(updated - rank[:, column]).sum()
-            rank[:, column] = updated
-            iterations[column] = step
-            if delta < tol:
-                converged[column] = True
-            else:
-                still_active.append(column)
-        active = still_active
-
-    if active:
-        raise ConvergenceError(
-            f"RWR did not converge within {max_iter} iterations "
-            f"(tol={tol}) for {len(active)} of {k} source sets"
-        )
-
-    final = np.ascontiguousarray(rank[:, 0])
-    total = final.sum()
-    if total > 0:
-        final = final / total
-    scores = {index.node_at(i): float(final[i]) for i in range(n)}
-    return RWRResult(
-        scores=scores,
-        iterations=iterations[0],
-        converged=converged[0],
-        restart_probability=c,
-    )
+    return power_columns(
+        matvec, index, [canonical_sources], restart_probability, tol, max_iter
+    )[0]

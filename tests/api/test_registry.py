@@ -7,6 +7,8 @@ field order — including the regression for the old ad-hoc canonicalization
 whose keys leaned on dict-ordering assumptions.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -289,3 +291,72 @@ class TestRegistryConstruction:
     def test_duplicate_arg_names_rejected(self):
         with pytest.raises(ValueError):
             OpSpec(name="bad", args=(ArgSpec("x"), ArgSpec("x")))
+
+
+class TestReadmeOperationReference:
+    """README's "Operation reference" is generated from the registry."""
+
+    @staticmethod
+    def _expected_lines():
+        lines = []
+        for row in DEFAULT_REGISTRY.describe():
+            flags = [row["scope"], row["cost"],
+                     "cached" if row["cacheable"] else "uncached"]
+            if row["plannable"]:
+                flags.append("plannable")
+            if row["prepared"]:
+                flags.append("prepared")
+            if "stream" in row:
+                flags.append(f"streams `{row['stream']['field']}`")
+            if row["merge"] is not None:
+                flags.append(f"shard-{row['merge']}")
+            lines.append(f"**`{row['name']}`** — {row['doc']} *({', '.join(flags)})*")
+            for arg in row["args"]:
+                shape = [arg["type"]]
+                shape.append("required" if arg["required"]
+                             else f"default `{arg['default']!r}`")
+                if "choices" in arg:
+                    shape.append(f"one of `{arg['choices']!r}`")
+                lines.append(f"- `{arg['name']}` ({', '.join(shape)}) — {arg['doc']}")
+        return lines
+
+    @staticmethod
+    def _readme_lines():
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parents[2] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("### Operation reference", 1)[1].split("\n#", 1)[0]
+        return [
+            line for line in section.splitlines()
+            if line.startswith("**`") or line.startswith("- `")
+        ]
+
+    def test_op_headers_and_arg_bullets_match_describe(self):
+        assert self._readme_lines() == self._expected_lines()
+
+
+class TestApplyAliasValidation:
+    """``POST /v1/datasets/<name>/apply`` validates like ``/v1/query``."""
+
+    SCRIPT = [{"action": "add_node", "node": "alias-probe"}]
+
+    @pytest.mark.parametrize("field", ["refresh_rwr", "scirpt_extra"])
+    def test_unknown_fields_are_rejected_on_both_routes(self, all_clients, field):
+        errors = set()
+        for client in all_clients:
+            raw_query = client.query_raw(
+                "dataset.apply",
+                args={"dataset": "dblp", "script": self.SCRIPT, field: True},
+            )
+            status, payload, raw_alias = client.transport.call(
+                "POST", "/v1/datasets/dblp/apply",
+                {"script": self.SCRIPT, field: True},
+            )
+            query_error = json.loads(raw_query)["error"]
+            assert payload["ok"] is False and status == 400
+            assert query_error["code"] == "INVALID_ARGUMENT"
+            assert payload["error"] == query_error
+            assert field in query_error["message"]
+            errors.add((raw_query, raw_alias))
+        assert len(errors) == 1  # in-process bytes == HTTP bytes, per route

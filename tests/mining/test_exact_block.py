@@ -81,9 +81,10 @@ def test_per_source_blocked_matches_loop_bitwise():
     sources = sorted(graph.nodes(), key=repr)[:8]
     prepared = PreparedGraph.from_graph(graph)
     blocked = per_source_rwr(graph, sources, solver="exact", prepared=prepared)
-    looped = per_source_rwr(
-        graph, sources, solver="exact", prepared=prepared, blocked=False
-    )
+    looped = {
+        source: rwr_exact(graph, [source], prepared=prepared)
+        for source in sources
+    }
     assert list(blocked) == list(looped) == list(sources)
     for source in sources:
         assert blocked[source].scores == looped[source].scores

@@ -1,13 +1,12 @@
 """Parity suite for the prepared-kernel layer.
 
-Two contracts are pinned here, both **exact** (``==`` on floats, not
+The contract pinned here is **exact** (``==`` on floats, not
 approximate): feeding any kernel a :class:`~repro.graph.matrix.PreparedGraph`
-must change nothing but the cost, and the blocked multi-source RWR solver
-must return bit-for-bit what the per-source loop returns (same scores,
-same iteration counts, same deterministic ``top()`` ordering).  The only
-tolerance-based checks are against :func:`rwr_exact`, which is a different
-algorithm (sparse LU) and agrees to solver precision, exactly as the
-existing power-vs-exact regression suite does.
+must change nothing but the cost.  The only tolerance-based check is
+against :func:`rwr_exact`, which is a different algorithm (sparse LU) and
+agrees to solver precision, exactly as the existing power-vs-exact
+regression suite does.  The power loop's own bitwise oracle lives in
+``test_power_loop_parity.py``.
 """
 
 import random
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.generators import barabasi_albert, connected_caveman, erdos_renyi
+from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.graph.matrix import PreparedGraph, VertexIndex, transition_matrix
 from repro.mining.connection_subgraph import extract_connection_subgraph
 from repro.mining.delivered_current import compute_voltages, extract_delivered_current
@@ -31,7 +30,6 @@ from repro.mining.proximity import (
 from repro.mining.rwr import (
     per_source_rwr,
     rwr_exact,
-    rwr_power_block,
     rwr_power_iteration,
     steady_state_rwr,
 )
@@ -57,38 +55,8 @@ def _assert_identical_results(first, second):
 
 
 # --------------------------------------------------------------------------- #
-# blocked multi-source RWR == per-source loop == rwr_exact
+# power RWR == rwr_exact (to solver precision)
 # --------------------------------------------------------------------------- #
-@given(
-    n=st.integers(min_value=6, max_value=45),
-    p=st.floats(min_value=0.05, max_value=0.35),
-    seed=st.integers(min_value=0, max_value=10_000),
-    num_sources=st.integers(min_value=1, max_value=5),
-    restart=st.floats(min_value=0.05, max_value=0.6),
-)
-@settings(max_examples=25, deadline=None, derandomize=True)
-def test_blocked_rwr_is_bit_identical_to_per_source_loop(
-    n, p, seed, num_sources, restart
-):
-    graph = erdos_renyi(n, p, seed=seed)
-    sources = _sample_sources(graph, seed, num_sources)
-    prepared = PreparedGraph.from_graph(graph)
-
-    looped = per_source_rwr(
-        graph, sources, restart_probability=restart, blocked=False
-    )
-    blocked = per_source_rwr(
-        graph, sources, restart_probability=restart, blocked=True
-    )
-    blocked_prepared = per_source_rwr(
-        graph, sources, restart_probability=restart, prepared=prepared
-    )
-    assert set(looped) == set(blocked) == set(blocked_prepared)
-    for source in sources:
-        _assert_identical_results(looped[source], blocked[source])
-        _assert_identical_results(looped[source], blocked_prepared[source])
-
-
 @given(
     n=st.integers(min_value=6, max_value=40),
     seed=st.integers(min_value=0, max_value=10_000),
@@ -99,59 +67,20 @@ def test_blocked_rwr_is_bit_identical_to_per_source_loop(
 def test_blocked_rwr_agrees_with_exact_solver(n, seed, restart, num_sources):
     graph = barabasi_albert(n, 2, seed=seed)
     sources = _sample_sources(graph, seed, num_sources)
-    blocked = rwr_power_block(
+    solved = per_source_rwr(
         graph,
-        [[source] for source in sources],
+        sources,
         restart_probability=restart,
         tol=POWER_TOL,
         max_iter=5000,
     )
-    for source, result in zip(sources, blocked):
+    for source, result in solved.items():
         exact = rwr_exact(graph, [source], restart_probability=restart)
         assert set(result.scores) == set(exact.scores)
         worst = max(
             abs(result.scores[node] - exact.scores[node]) for node in result.scores
         )
         assert worst < EXACT_AGREEMENT_TOL, f"solvers disagree by {worst:.3e}"
-
-
-@given(
-    cliques=st.integers(min_value=2, max_value=5),
-    clique_size=st.integers(min_value=3, max_value=7),
-    seed=st.integers(min_value=0, max_value=10_000),
-    num_sets=st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=15, deadline=None, derandomize=True)
-def test_blocked_multi_source_sets_match_individual_solves(
-    cliques, clique_size, seed, num_sets
-):
-    """Source *sets* (not just singletons) solve identically blocked or not."""
-    graph = connected_caveman(cliques, clique_size)
-    rng = random.Random(seed)
-    nodes = sorted(graph.nodes(), key=repr)
-    source_sets = [
-        rng.sample(nodes, min(1 + rng.randrange(3), len(nodes)))
-        for _ in range(num_sets)
-    ]
-    blocked = rwr_power_block(graph, source_sets)
-    for sources, result in zip(source_sets, blocked):
-        single = rwr_power_iteration(graph, sources)
-        _assert_identical_results(single, result)
-
-
-def test_block_chunking_is_invisible(monkeypatch):
-    """More source sets than one chunk holds: results identical to one block."""
-    import repro.mining.rwr as rwr_module
-
-    graph = barabasi_albert(60, 2, seed=5)
-    nodes = sorted(graph.nodes(), key=repr)
-    source_sets = [[node] for node in nodes[:10]]
-    whole = rwr_power_block(graph, source_sets)
-    monkeypatch.setattr(rwr_module, "BLOCK_COLUMN_CHUNK", 3)
-    chunked = rwr_module.rwr_power_block(graph, source_sets)
-    assert len(whole) == len(chunked)
-    for one, other in zip(whole, chunked):
-        _assert_identical_results(one, other)
 
 
 def test_steady_state_rwr_matches_power_iteration_bitwise():

@@ -169,7 +169,7 @@ class TestScatterParity:
         def matvec(rank):
             product = np.empty_like(rank)
             for rows, mat in mats:
-                product[rows, :] = mat @ rank
+                product[rows] = mat @ rank
             return product
 
         result = scatter_rwr(prepared.index, matvec, sources)
