@@ -570,7 +570,9 @@ class ProtocolRouter:
         """Alias of op ``dataset.subscribe``: long-poll the change feed.
 
         Body: ``{"dataset": ..., "since": N, "timeout": seconds,
-        "community": ...}``.  Blocks the calling thread (bounded
+        "community": ...}``.  Every non-``None`` body field goes to the
+        registry as an op arg, so an unknown field is rejected exactly as
+        on ``POST /v1/query``.  Blocks the calling thread (bounded
         server-side) until an event after ``since`` arrives — the
         in-process transport's long-poll.  The HTTP server never gets
         here with a positive timeout: it takes the request apart with
@@ -583,11 +585,7 @@ class ProtocolRouter:
 
     @staticmethod
     def _subscribe_args(body: Mapping[str, Any]) -> JsonDict:
-        return {
-            key: body.get(key)
-            for key in ("dataset", "since", "timeout", "community")
-            if body.get(key) is not None
-        }
+        return {key: value for key, value in body.items() if value is not None}
 
     def long_poll(
         self, method: str, path: str, body: Optional[Mapping[str, Any]]

@@ -145,6 +145,14 @@ class Graph:
         except KeyError:
             raise NodeNotFoundError(node) from None
 
+    def neighbor_weights(self, node: NodeId) -> Iterable[Tuple[NodeId, float]]:
+        """Iterate over ``(neighbour, weight)`` pairs of ``node``, in
+        :meth:`neighbors` order (one dict read per edge, no ``has_edge``)."""
+        try:
+            return self._adj[node].items()
+        except KeyError:
+            raise NodeNotFoundError(node) from None
+
     def degree(self, node: NodeId) -> int:
         """Return the number of neighbours of ``node`` (self loops count once)."""
         try:
@@ -201,15 +209,18 @@ class Graph:
         return digest.hexdigest()
 
     def edges(self) -> Iterator[Tuple[NodeId, NodeId, float]]:
-        """Iterate over edges as ``(u, v, weight)``, each undirected edge once."""
-        seen = set()
+        """Iterate over edges as ``(u, v, weight)``, each undirected edge once.
+
+        An edge is yielded at whichever endpoint adjacency iteration reaches
+        first: ``v`` is skipped once it has itself been finished.  A self
+        loop is yielded once, at its vertex.
+        """
+        finished = set()
         for u, nbrs in self._adj.items():
             for v, w in nbrs.items():
-                key = self._edge_key(u, v)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield u, v, w
+                if v not in finished:
+                    yield u, v, w
+            finished.add(u)
 
     def node_attrs(self, node: NodeId) -> Dict[str, Any]:
         """Return the (mutable) attribute dict of ``node``."""
@@ -262,15 +273,25 @@ class Graph:
         """
         keep = {node for node in nodes if node in self._adj}
         sub = Graph(name=name or f"{self.name}::subgraph")
+        adj = sub._adj
         for node in keep:
-            sub.add_node(node, **self._node_attrs.get(node, {}))
+            adj[node] = {}
+            attrs = self._node_attrs.get(node)
+            if attrs:
+                sub._node_attrs[node] = dict(attrs)
+        # Each kept edge is added when its first endpoint in ``keep`` order
+        # is visited, appending to both endpoints' neighbour dicts.
         for node in keep:
+            row = adj[node]
             for neighbor, weight in self._adj[node].items():
-                if neighbor in keep and not sub.has_edge(node, neighbor):
-                    sub.add_edge(node, neighbor, weight=weight)
-                    attrs = self._edge_attrs.get(self._edge_key(node, neighbor))
+                if neighbor in keep and neighbor not in row:
+                    row[neighbor] = weight
+                    adj[neighbor][node] = weight
+                    sub._num_edges += 1
+                    key = self._edge_key(node, neighbor)
+                    attrs = self._edge_attrs.get(key)
                     if attrs:
-                        sub.edge_attrs(node, neighbor).update(attrs)
+                        sub._edge_attrs[key] = dict(attrs)
         return sub
 
     def induced_ordered(self, nodes: Iterable[NodeId], name: str = "") -> "Graph":

@@ -73,14 +73,13 @@ def heavy_edge_matching(
             continue
         best: Optional[NodeId] = None
         best_weight = -1.0
-        for neighbor in graph.neighbors(node):
+        for neighbor, weight in graph.neighbor_weights(node):
             if neighbor == node or neighbor in matched:
                 continue
             if max_vertex_weight is not None:
                 combined = vertex_weights[node] + vertex_weights[neighbor]
                 if combined > max_vertex_weight:
                     continue
-            weight = graph.edge_weight(node, neighbor)
             if weight > best_weight:
                 best_weight = weight
                 best = neighbor
@@ -151,7 +150,7 @@ def contract(
         cu, cv = projection[u], projection[v]
         if cu == cv:
             continue  # internal edge of a super-vertex disappears
-        coarse.add_edge(cu, cv, weight=w, accumulate=coarse.has_edge(cu, cv))
+        coarse.add_edge(cu, cv, weight=w, accumulate=True)
     return CoarseLevel(graph=coarse, vertex_weights=coarse_weights, projection=projection)
 
 

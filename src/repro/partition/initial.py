@@ -66,8 +66,7 @@ def greedy_graph_growing(
             if neighbor in in_part0:
                 continue
             gain = 0.0
-            for nb2 in graph.neighbors(neighbor):
-                w = graph.edge_weight(neighbor, nb2)
+            for nb2, w in graph.neighbor_weights(neighbor):
                 gain += w if nb2 in in_part0 else -w
             push(neighbor, gain)
     # If the graph is disconnected the frontier can dry up early; top up with

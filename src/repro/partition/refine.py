@@ -7,10 +7,13 @@ reduces the cut without violating the balance constraint; a limited amount
 of hill-climbing (negative-gain moves) is allowed and the best prefix of the
 move sequence is kept, exactly as in the classic KL/FM formulation.
 
-The implementation is deliberately dictionary-based (no bucket arrays):
-Python-level constant factors dwarf the asymptotic win of gain buckets at
-the graph sizes this reproduction targets, and the simple version is far
-easier to verify.
+The implementation is dictionary-based (no bucket arrays).  A pass keeps
+each vertex's gain once computed and drops only the moved vertex's
+neighbours' entries after a move, because a gain depends on nothing else;
+a recomputed gain runs the same loop in the same neighbour order, so every
+float matches a from-scratch evaluation.  Selection is a linear scan for
+the first strict maximum in boundary order, so ties break the same way
+they always have.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ def _gain(graph: Graph, assignment: Dict[NodeId, int], node: NodeId) -> float:
     own = assignment[node]
     external = 0.0
     internal = 0.0
-    for neighbor in graph.neighbors(node):
-        weight = graph.edge_weight(node, neighbor)
+    for neighbor, weight in graph.neighbor_weights(node):
         if assignment[neighbor] == own:
             internal += weight
         else:
@@ -64,13 +66,14 @@ def fm_refine_bisection(
     for node in graph.nodes():
         side_weight[assignment[node]] += vertex_weights[node]
 
-    def within_balance(side: int, delta: float) -> bool:
-        limit = target[side] * balance_tolerance
-        return side_weight[side] + delta <= limit or target[side] == 0
+    # The most weight a side may hold; an empty target bounds nothing.
+    limit = {
+        side: target[side] * balance_tolerance if target[side] != 0 else float("inf")
+        for side in (0, 1)
+    }
 
     for _ in range(max_passes):
         improved = False
-        locked: set = set()
         best_cut = edge_cut(graph, assignment)
         current_cut = best_cut
         move_log: List[Tuple[NodeId, int]] = []
@@ -82,28 +85,37 @@ def fm_refine_bisection(
             for node in graph.nodes()
             if any(assignment[nb] != assignment[node] for nb in graph.neighbors(node))
         ]
-        # Repeatedly pick the best currently-movable boundary vertex.
+        # ``boundary`` holds the unlocked candidates in discovery order; a
+        # moved vertex leaves it (locked) but stays in ``in_boundary`` so it
+        # never returns this pass.
+        in_boundary = set(boundary)
+        # A vertex's gain depends only on its own side and its neighbours'
+        # sides, so it is computed once per pass and forgotten only when a
+        # neighbour moves.
+        gains: Dict[NodeId, float] = {}
+        # Repeatedly pick the best currently-movable boundary vertex (the
+        # first strict maximum in boundary order).
         while boundary:
             best_node: Optional[NodeId] = None
             best_gain = float("-inf")
             for node in boundary:
-                if node in locked:
-                    continue
                 destination = 1 - assignment[node]
-                if not within_balance(destination, vertex_weights[node]):
+                if not side_weight[destination] + vertex_weights[node] <= limit[destination]:
                     continue
-                gain = _gain(graph, assignment, node)
+                gain = gains.get(node)
+                if gain is None:
+                    gain = gains[node] = _gain(graph, assignment, node)
                 if gain > best_gain:
                     best_gain = gain
                     best_node = node
             if best_node is None:
                 break
+            boundary.remove(best_node)
             source = assignment[best_node]
             destination = 1 - source
             assignment[best_node] = destination
             side_weight[source] -= vertex_weights[best_node]
             side_weight[destination] += vertex_weights[best_node]
-            locked.add(best_node)
             current_cut -= best_gain
             move_log.append((best_node, source))
             if current_cut < best_cut - 1e-12:
@@ -118,8 +130,10 @@ def fm_refine_bisection(
             # The boundary changes as vertices move; recompute lazily by
             # adding the moved vertex's neighbours.
             for neighbor in graph.neighbors(best_node):
-                if neighbor not in locked and neighbor not in boundary:
+                gains.pop(neighbor, None)
+                if neighbor not in in_boundary:
                     boundary.append(neighbor)
+                    in_boundary.add(neighbor)
 
         # Roll back the moves after the best prefix.
         for node, original_side in reversed(move_log[best_prefix:]):
@@ -160,9 +174,9 @@ def greedy_kway_refine(
             own = assignment[node]
             # Tally connection weight to each adjacent part.
             link: Dict[int, float] = {}
-            for neighbor in graph.neighbors(node):
+            for neighbor, weight in graph.neighbor_weights(node):
                 part = assignment[neighbor]
-                link[part] = link.get(part, 0.0) + graph.edge_weight(node, neighbor)
+                link[part] = link.get(part, 0.0) + weight
             own_link = link.get(own, 0.0)
             best_part = own
             best_gain = 0.0

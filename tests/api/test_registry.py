@@ -360,3 +360,41 @@ class TestApplyAliasValidation:
             assert field in query_error["message"]
             errors.add((raw_query, raw_alias))
         assert len(errors) == 1  # in-process bytes == HTTP bytes, per route
+
+
+class TestSubscribeAliasValidation:
+    """``POST /v1/subscribe`` validates like ``/v1/query``: every body field
+    reaches the registry, on the direct path and the long-poll hand-off."""
+
+    @pytest.mark.parametrize("timeout", [None, 0.05])
+    def test_unknown_fields_are_rejected_on_both_routes(self, all_clients, timeout):
+        args = {"dataset": "dblp", "since": 0, "bogus": 1}
+        if timeout is not None:
+            args["timeout"] = timeout
+        errors = set()
+        for client in all_clients:
+            raw_query = client.query_raw("dataset.subscribe", args=args)
+            status, payload, raw_alias = client.transport.call(
+                "POST", "/v1/subscribe", args
+            )
+            query_error = json.loads(raw_query)["error"]
+            assert payload["ok"] is False and status == 400
+            assert query_error["code"] == "INVALID_ARGUMENT"
+            assert "bogus" in query_error["message"]
+            assert payload["error"] == query_error
+            errors.add((raw_query, raw_alias))
+        assert len(errors) == 1  # in-process bytes == HTTP bytes, per route
+
+    def test_valid_fields_answer_the_same_result(self, all_clients):
+        args = {"dataset": "dblp", "since": 0, "community": None}
+        answers = set()
+        for client in all_clients:
+            query = json.loads(client.query_raw("dataset.subscribe", args=args))
+            status, payload, raw_alias = client.transport.call(
+                "POST", "/v1/subscribe", args
+            )
+            assert status == 200 and query["ok"] is True
+            assert payload == {"protocol": payload["protocol"], "ok": True,
+                               **query["result"]}
+            answers.add(raw_alias)
+        assert len(answers) == 1
